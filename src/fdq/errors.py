@@ -14,7 +14,8 @@ class SchemaError(FdqError):
 
 
 class IngestError(FdqError):
-    """CSV ingestion failure; the message carries the offending line number."""
+    """A data file could not be read or written: a CSV (the message carries
+    the offending line number) or a dependency-set file (it names the path)."""
 
 
 class NameResolutionError(FdqError):

@@ -14,11 +14,13 @@ emit.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import (
     ContractError,
+    IngestError,
     NameResolutionError,
     ParseError,
     UnsupportedOperationError,
@@ -388,7 +390,11 @@ def dumps_fdset(fdset: FDSet) -> str:
 
 
 def loads_fdset(text: str) -> FDSet:
-    """Parse the JSON-lines form. Header first, then entry records."""
+    """Parse the JSON-lines form. Header first, then entry records.
+
+    Field types are checked, so a mistyped field is a ParseError rather
+    than a crash or a silent misread (a string determinant is not split
+    into characters)."""
     header = None
     entries: list[FDEntry] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -407,33 +413,58 @@ def loads_fdset(text: str) -> FDSet:
             continue
         if "lhs" not in record or "rhs" not in record:
             raise ParseError(f"line {lineno}: entry needs 'lhs' and 'rhs'")
+        lhs, rhs = record["lhs"], record["rhs"]
+        if not (
+            isinstance(lhs, list) and lhs and all(isinstance(a, str) for a in lhs)
+        ):
+            raise ParseError(f"line {lineno}: 'lhs' must be a non-empty list of names")
+        if not isinstance(rhs, str):
+            raise ParseError(f"line {lineno}: 'rhs' must be a name")
+        error = record.get("error", 0.0)
+        if (
+            isinstance(error, bool)
+            or not isinstance(error, (int, float))
+            or not 0.0 <= error < 1.0
+        ):
+            raise ParseError(f"line {lineno}: 'error' must be a number in [0, 1)")
+        origin = record.get("origin", IMPORTED)
+        if not isinstance(origin, str):
+            raise ParseError(f"line {lineno}: 'origin' must be a string")
         entries.append(
-            FDEntry(
-                lhs=tuple(sorted(record["lhs"])),
-                rhs=record["rhs"],
-                error=float(record.get("error", 0.0)),
-                origin=record.get("origin", IMPORTED),
-            )
+            FDEntry(lhs=tuple(sorted(lhs)), rhs=rhs, error=float(error), origin=origin)
         )
     if header is None:
         raise ParseError("no header record found")
+    fingerprint = header.get("fingerprint", 0)
+    if isinstance(fingerprint, bool) or not isinstance(fingerprint, int):
+        raise ParseError("header 'fingerprint' must be an integer")
+    for field in ("fdset", "table", "mined_at"):
+        if not isinstance(header.get(field, ""), str):
+            raise ParseError(f"header {field!r} must be a string")
     return FDSet(
         name=header.get("fdset", ""),
         table_binding=header.get("table", ""),
-        table_fingerprint=int(header.get("fingerprint", 0)),
+        table_fingerprint=fingerprint,
         entries=tuple(entries),
         mined_at=header.get("mined_at", ""),
     )
 
 
 def save_fdset(fdset: FDSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_fdset(fdset))
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(dumps_fdset(fdset))
+    except OSError as exc:
+        raise IngestError(f"cannot write {os.fspath(path)!r}: {exc}") from exc
 
 
 def load_fdset(path) -> FDSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_fdset(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read {os.fspath(path)!r}: {exc}") from exc
+    return loads_fdset(text)
 
 
 def import_fdset(path, name: str | None = None) -> FDSet:

@@ -1,12 +1,15 @@
 """Dependency discovery.
 
-`mine_fds` walks the attribute lattice level by level: partitions for
-level k come from intersecting a level k-1 partition with a single
-attribute's partition, and a candidate is skipped once any smaller
+`mine_fds` is a pruned levelwise walk over the attribute lattice (TANE,
+Huhtala et al. 1999). A candidate X -> A is validated by counting A's
+value ids inside each cluster of X's partition, so no partition product
+is built just to score it. A candidate is skipped once a smaller
 determinant for the same dependent has been emitted, so only minimal
-dependencies surface. Candidate validations inside one level are
-independent and may fan out across worker threads; results are collected
-in candidate order, so the outcome is identical for any worker count.
+dependencies surface. A node whose every dependent is settled that way
+is dead: no superset can yield a candidate, so level k+1 builds only the
+nodes whose k-subsets are all live, each by one partition product. No
+level is built past the size cap. Validation runs serially and in a fixed
+order, so the outcome does not depend on the requested worker count.
 
 `brute_force_mine` answers the same question by brute force over row
 pairs, with no partitions involved, and exists to cross-check the fast
@@ -16,9 +19,10 @@ path at small scale (intended for relations up to about 10 attributes).
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .errors import ContractError, NameResolutionError, ParameterError
@@ -90,6 +94,7 @@ def mine_fds(
     dependent name). Within the filter universe the result is a cover:
     every smaller determinant for the same dependent that also meets the
     bound would have been emitted first and pruned its supersets.
+    `workers` is validated but mining runs serially.
     """
     if workers < 1:
         raise ParameterError("workers must be at least 1")
@@ -102,53 +107,67 @@ def mine_fds(
     singles = {
         a: build_pli(relation, a) for a in sorted(set(lhs_universe) | set(rhs_universe))
     }
+    value_ids = {a: _value_ids(singles[a]) for a in rhs_universe}
     emitted: dict[int, list[frozenset[int]]] = {a: [] for a in rhs_universe}
     entries: list[FDEntry] = []
 
-    level: dict[frozenset[int], PLI] = {
-        frozenset({a}): singles[a] for a in lhs_universe
-    }
+    # nodes are ascending tuples of attribute indexes
+    level: dict[tuple[int, ...], PLI] = {(a,): singles[a] for a in lhs_universe}
     size = 1
-    while level and (spec.max_lhs_len is None or size <= spec.max_lhs_len):
-        candidates = []
-        for lhs, pli in level.items():
+    while level:
+        live: list[tuple[int, ...]] = []
+        for node, pli in level.items():
+            lhs = frozenset(node)
+            todo = [
+                a for a in rhs_universe
+                if a not in lhs and not any(smaller <= lhs for smaller in emitted[a])
+            ]
+            if not todo:
+                continue
             agree_lhs = pli.pair_count()
-            for a in rhs_universe:
-                if a in lhs:
-                    continue
-                if any(smaller <= lhs for smaller in emitted[a]):
-                    continue
-                candidates.append((lhs, pli, agree_lhs, a))
-
-        def validate(cand):
-            lhs, pli, agree_lhs, a = cand
-            if denominator == 0:
-                return 0.0
-            agree_both = intersect(pli, singles[a]).pair_count()
-            return (agree_lhs - agree_both) / denominator
-
-        if workers == 1 or len(candidates) < 2:
-            errors = [validate(c) for c in candidates]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                errors = list(pool.map(validate, candidates))
-
-        for (lhs, _, _, a), err in zip(candidates, errors):
-            if err <= spec.error_threshold:
-                emitted[a].append(lhs)
-                entries.append(
-                    FDEntry(
-                        lhs=tuple(sorted(names[i] for i in lhs)),
-                        rhs=names[a],
-                        error=err,
-                        origin=MINED,
+            # one int per clustered row encodes (cluster, dependent value id);
+            # the c rows sharing one make c*c - c agreeing ordered pairs
+            rows = list(chain.from_iterable(pli.clusters))
+            tags = [
+                cid * n for cid, cluster in enumerate(pli.clusters) for _ in cluster
+            ]
+            alive = False
+            for a in todo:
+                err = 0.0
+                if denominator:
+                    counts = Counter(
+                        map(add, tags, map(value_ids[a].__getitem__, rows))
+                    ).values()
+                    agree_both = sum(map(mul, counts, counts)) - len(rows)
+                    err = (agree_lhs - agree_both) / denominator
+                if err <= spec.error_threshold:
+                    emitted[a].append(lhs)
+                    entries.append(
+                        FDEntry(
+                            lhs=tuple(sorted(names[i] for i in lhs)),
+                            rhs=names[a],
+                            error=err,
+                            origin=MINED,
+                        )
                     )
-                )
+                else:
+                    alive = True
+            if alive:
+                live.append(node)
 
-        next_level: dict[frozenset[int], PLI] = {}
-        for combo in combinations(lhs_universe, size + 1):
-            base = frozenset(combo[:-1])
-            next_level[frozenset(combo)] = intersect(level[base], singles[combo[-1]])
+        if spec.max_lhs_len is not None and size >= spec.max_lhs_len:
+            break
+        # a dead node settles every dependent for all its supersets, so a
+        # node is built only when each of its subsets one smaller is live
+        live_set = set(live)
+        next_level: dict[tuple[int, ...], PLI] = {}
+        for base in live:
+            for last in lhs_universe:
+                if last <= base[-1]:
+                    continue
+                node = base + (last,)
+                if all(node[:i] + node[i + 1:] in live_set for i in range(size)):
+                    next_level[node] = intersect(level[base], singles[last])
         level = next_level
         size += 1
 
@@ -160,6 +179,17 @@ def mine_fds(
         entries=tuple(entries),
         mined_at=mined_at,
     )
+
+
+def _value_ids(pli: PLI) -> list[int]:
+    """Per-row value id of a single attribute in [0, n): the smallest row
+    holding the same value."""
+    ids = list(range(pli.relation_size))
+    for cluster in pli.clusters:
+        first = cluster[0]
+        for row in cluster:
+            ids[row] = first
+    return ids
 
 
 def brute_force_mine(

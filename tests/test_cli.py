@@ -375,6 +375,68 @@ class TestImportExport:
         assert blobs[0] == blobs[1] == blobs[2]
         assert load_fdset(tmp_path / "fs1.fdset").mined_at == FIXED_CLOCK
 
+    HEADER = '{"fdset":"fs","table":"IOWA","fingerprint":7,"mined_at":""}'
+
+    @pytest.mark.parametrize(
+        "header, entry",
+        [
+            (HEADER, '{"lhs":["Zip"],"rhs":"Pack","error":"oops"}'),
+            (
+                '{"fdset":"fs","table":"IOWA","fingerprint":"abc","mined_at":""}',
+                '{"lhs":["Zip"],"rhs":"Pack","error":0.0}',
+            ),
+            (HEADER, '{"lhs":"AB","rhs":"Pack","error":0.0}'),
+            (HEADER, '{"lhs":["Zip"],"rhs":3,"error":0.0}'),
+        ],
+        ids=[
+            "error-not-a-number",
+            "fingerprint-not-an-int",
+            "lhs-a-string",
+            "rhs-not-a-string",
+        ],
+    )
+    def test_malformed_fdset_is_a_user_error(self, tmp_path, capsys, header, entry):
+        (tmp_path / "bad.fdset").write_text(f"{header}\n{entry}\n", encoding="utf-8")
+        code = main(
+            ["exec", "--data-dir", str(tmp_path), "-c", "IMPORT 'bad.fdset' AS fs;"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "internal error" not in err
+
+    def test_export_into_missing_directory_is_a_user_error(
+        self, data_dir, tmp_path, capsys
+    ):
+        target = tmp_path / "missing_dir" / "f.fdset"
+        code = main(
+            [
+                "exec",
+                "--data-dir",
+                str(data_dir),
+                "-c",
+                "LOAD 'iowa.csv' AS IOWA; "
+                "MINEFD fs AS SELECT LHS -> RHS WHERE LHS LENGTH <= 1 FROM IOWA; "
+                f"EXPORT fs TO '{target}';",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "internal error" not in err
+        assert str(target) in err
+
+    @pytest.mark.parametrize(
+        "content", [None, b"\xff\xfe{}\n"], ids=["missing", "not-utf8"]
+    )
+    def test_unreadable_import_is_a_user_error(self, tmp_path, capsys, content):
+        target = tmp_path / "in.fdset"
+        if content is not None:
+            target.write_bytes(content)
+        code = main(["exec", "-c", f"IMPORT '{target}' AS fs;"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "internal error" not in err
+        assert str(target) in err
+
 
 class TestExplain:
     def test_explain_notes_predicate_order(self, data_dir):

@@ -2,6 +2,7 @@ import logging
 
 import pytest
 
+import fdq.miner
 from fdq.errors import ContractError, NameResolutionError, ParameterError
 from fdq.fdstore import FDEntry
 from fdq.miner import (
@@ -121,6 +122,31 @@ class TestMineFds:
         two = mine_fds(iowa, workers=2)
         eight = mine_fds(iowa, workers=8)
         assert one.entries == two.entries == eight.entries
+
+    @pytest.mark.parametrize(
+        "spec, products",
+        [
+            (MiningSpec(), 98),
+            (MiningSpec(max_lhs_len=1), 0),
+            (MiningSpec(max_lhs_len=2), 45),
+            (MiningSpec(error_threshold=0.05), 25),
+        ],
+        ids=["exact", "cap-1", "cap-2", "bound-0.05"],
+    )
+    def test_partition_products_are_pinned(self, iowa, monkeypatch, spec, products):
+        # a deterministic work counter: losing a pruning rule raises the
+        # count, so it fails here rather than on a stopwatch
+        calls = []
+        real = fdq.miner.intersect
+
+        def counting(a, b):
+            calls.append(None)
+            return real(a, b)
+
+        monkeypatch.setattr(fdq.miner, "intersect", counting)
+        mined = mine_fds(iowa, spec)
+        assert len(calls) == products
+        assert mined.entries == brute_force_mine(iowa, spec).entries
 
     def test_bad_parameters(self, iowa):
         with pytest.raises(ParameterError):

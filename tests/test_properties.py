@@ -386,6 +386,50 @@ def test_levelwise_mining_equals_brute_force(relation, threshold):
     ]
 
 
+WIDE_NAMES = ("A", "B", "C", "D", "E", "F")
+
+
+@st.composite
+def wide_relations(draw):
+    n_attrs = draw(st.integers(5, 6))
+    names = WIDE_NAMES[:n_attrs]
+    # small domains so partitions cluster, keys appear and pruning acts
+    cells = [st.integers(0, draw(st.integers(1, 3))) for _ in names]
+    rows = draw(st.lists(st.tuples(*cells), max_size=10))
+    return Relation.build("t", [(n, "integer") for n in names], rows)
+
+
+filter_lists = st.none() | st.lists(
+    st.sampled_from(WIDE_NAMES[:5]), min_size=1, max_size=4, unique=True
+).map(lambda ps: GlobList(tuple(ps)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    wide_relations(),
+    st.sampled_from((None, 1, 2)),
+    st.sampled_from((0.0, 0.05, 0.2)),
+    filter_lists,
+    filter_lists,
+)
+def test_pruned_mining_equals_brute_force_on_wider_relations(
+    relation, cap, threshold, lhs_filter, rhs_filter
+):
+    # dependents outside the determinant universe arise whenever the two
+    # filters differ, which the independent draws make common
+    spec = MiningSpec(
+        lhs_filter=lhs_filter,
+        rhs_filter=rhs_filter,
+        max_lhs_len=cap,
+        error_threshold=threshold,
+    )
+    fast = mine_fds(relation, spec)
+    slow = brute_force_mine(relation, spec)
+    assert [(e.key, e.error) for e in fast.entries] == [
+        (e.key, e.error) for e in slow.entries
+    ]
+
+
 @common
 @given(relations_with_fd())
 def test_wildcard_cfd_confidence_is_one_exactly_when_fd_holds(case):
