@@ -541,6 +541,9 @@ def main(argv=None) -> int:
     group.add_argument("-f", "--file", help="script file of statements")
     group.add_argument("-c", "--command", help="statements given inline")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print("error: --threads must be at least 1", file=sys.stderr)
+        return 1
     session = build_session(args)
     if args.mode == "repl":
         return run_repl(session)

@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     UnsupportedOperationError,
 )
+from .relation import COMPARISON_OPS
 from .result import ResultTable
 from .setexpr import (
     SetExpr,
@@ -104,8 +105,25 @@ class RhsLike:
 
 @dataclass(frozen=True)
 class LhsLength:
+    """`LHS LENGTH <op> <length>`, shared by SELECTDEP and MINEFD."""
+
     op: str  # = != < <= > >=
     length: int
+
+    def admits(self, size: int) -> bool:
+        return COMPARISON_OPS[self.op](size, self.length)
+
+
+def parse_lhs_length(ts: TokenStream) -> LhsLength:
+    """The rest of an atom after `LHS LENGTH`: an operator and a count."""
+    op_tok = ts.peek()
+    if op_tok.kind != "punct" or op_tok.text not in COMPARISON_OPS:
+        raise ts.error("expected a comparison operator after LENGTH")
+    ts.advance()
+    num = ts.expect_number()
+    if not isinstance(num.value, int) or num.value < 0:
+        raise ts.error("LENGTH compares against a non-negative integer", num)
+    return LhsLength(op_tok.text, num.value)
 
 
 @dataclass(frozen=True)
@@ -133,9 +151,6 @@ class FdmlQuery:
     where: object | None = None
 
 
-_LENGTH_OPS = {"=", "!=", "<", "<=", ">", ">="}
-
-
 def _parse_fdml_atom(ts: TokenStream):
     if ts.accept_punct("("):
         node = _parse_fdml_or(ts)
@@ -147,14 +162,7 @@ def _parse_fdml_atom(ts: TokenStream):
         if ts.accept_kw("LIKE"):
             return LhsLike(parse_set_expr(ts, allow_lhs_forms=True))
         if ts.accept_kw("LENGTH"):
-            op_tok = ts.peek()
-            if op_tok.kind != "punct" or op_tok.text not in _LENGTH_OPS:
-                raise ts.error("expected a comparison operator after LENGTH")
-            ts.advance()
-            num = ts.expect_number()
-            if not isinstance(num.value, int) or num.value < 0:
-                raise ts.error("LENGTH compares against a non-negative integer", num)
-            return LhsLength(op_tok.text, num.value)
+            return parse_lhs_length(ts)
         raise ts.error("expected LIKE or LENGTH after LHS")
     if tok.kind == "ident" and tok.text.upper() == "RHS":
         ts.advance()
@@ -257,15 +265,7 @@ def _entry_matches(node, entry: FDEntry, schema: Sequence[str]) -> bool:
     if isinstance(node, RhsLike):
         return any(entry.rhs in alt for alt in eval_subset_expr(node.expr, schema))
     if isinstance(node, LhsLength):
-        k = len(entry.lhs)
-        return {
-            "=": k == node.length,
-            "!=": k != node.length,
-            "<": k < node.length,
-            "<=": k <= node.length,
-            ">": k > node.length,
-            ">=": k >= node.length,
-        }[node.op]
+        return node.admits(len(entry.lhs))
     if isinstance(node, ErrorLeq):
         return entry.error <= node.threshold
     if isinstance(node, CondAnd):
@@ -455,14 +455,16 @@ def save_fdset(fdset: FDSet, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(dumps_fdset(fdset))
     except OSError as exc:
-        raise IngestError(f"cannot write {os.fspath(path)!r}: {exc}") from exc
+        raise IngestError(f"cannot write {os.fspath(path)!r}: {exc.strerror}") from exc
 
 
 def load_fdset(path) -> FDSet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise IngestError(f"cannot read {os.fspath(path)!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
         raise IngestError(f"cannot read {os.fspath(path)!r}: {exc}") from exc
     return loads_fdset(text)
 

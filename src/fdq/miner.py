@@ -19,15 +19,13 @@ path at small scale (intended for relations up to about 10 attributes).
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
-from operator import add, mul
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import ContractError, NameResolutionError, ParameterError
-from .fdstore import FDEntry, FDSet, MINED, canonical_key
-from .partition import PLI, build_pli, intersect
+from .fdstore import FDEntry, FDSet, LhsLength, MINED, canonical_key, parse_lhs_length
+from .partition import PLI, build_pli, grouped, intersect, pair_errors, value_ids
 from .query import Cell, PatternTableau, cell_matches
 from .relation import Relation
 from .setexpr import SetExpr, eval_subset_expr, literal_patterns, parse_set_expr
@@ -98,8 +96,6 @@ def mine_fds(
     """
     if workers < 1:
         raise ParameterError("workers must be at least 1")
-    n = relation.row_count
-    denominator = n * n - n
     names = relation.attribute_names
     lhs_universe = _filter_universe(spec.lhs_filter, relation, "determinant")
     rhs_universe = _filter_universe(spec.rhs_filter, relation, "dependent")
@@ -107,7 +103,7 @@ def mine_fds(
     singles = {
         a: build_pli(relation, a) for a in sorted(set(lhs_universe) | set(rhs_universe))
     }
-    value_ids = {a: _value_ids(singles[a]) for a in rhs_universe}
+    ids = {a: value_ids(singles[a]) for a in rhs_universe}
     emitted: dict[int, list[frozenset[int]]] = {a: [] for a in rhs_universe}
     entries: list[FDEntry] = []
 
@@ -124,22 +120,9 @@ def mine_fds(
             ]
             if not todo:
                 continue
-            agree_lhs = pli.pair_count()
-            # one int per clustered row encodes (cluster, dependent value id);
-            # the c rows sharing one make c*c - c agreeing ordered pairs
-            rows = list(chain.from_iterable(pli.clusters))
-            tags = [
-                cid * n for cid, cluster in enumerate(pli.clusters) for _ in cluster
-            ]
+            errors = pair_errors(pli, [ids[a] for a in todo], relation.row_count)
             alive = False
-            for a in todo:
-                err = 0.0
-                if denominator:
-                    counts = Counter(
-                        map(add, tags, map(value_ids[a].__getitem__, rows))
-                    ).values()
-                    agree_both = sum(map(mul, counts, counts)) - len(rows)
-                    err = (agree_lhs - agree_both) / denominator
+            for a, err in zip(todo, errors):
                 if err <= spec.error_threshold:
                     emitted[a].append(lhs)
                     entries.append(
@@ -179,17 +162,6 @@ def mine_fds(
         entries=tuple(entries),
         mined_at=mined_at,
     )
-
-
-def _value_ids(pli: PLI) -> list[int]:
-    """Per-row value id of a single attribute in [0, n): the smallest row
-    holding the same value."""
-    ids = list(range(pli.relation_size))
-    for cluster in pli.clusters:
-        first = cluster[0]
-        for row in cluster:
-            ids[row] = first
-    return ids
 
 
 def brute_force_mine(
@@ -360,12 +332,8 @@ def cfd_confidence(relation: Relation, cfd: CFD) -> float:
         lhs_cells_per_pattern.append(lhs_cells)
         rhs_cell_per_pattern.append(rhs_cell)
 
-    groups: dict[tuple, list[int]] = {}
-    for i, row in enumerate(relation.rows):
-        groups.setdefault(tuple(row[j] for j in lhs_idx), []).append(i)
-
     kept = 0
-    for rows_in_group in groups.values():
+    for rows_in_group in grouped(relation, lhs_idx).values():
         sample = relation.rows[rows_in_group[0]]
         matched_patterns = [
             p for p, cells in enumerate(lhs_cells_per_pattern)
@@ -417,21 +385,7 @@ class MinefdStatement:
         )
 
     def keeps_length(self, size: int) -> bool:
-        for op, k in self.length_bounds:
-            ok = {
-                "=": size == k,
-                "!=": size != k,
-                "<": size < k,
-                "<=": size <= k,
-                ">": size > k,
-                ">=": size >= k,
-            }[op]
-            if not ok:
-                return False
-        return True
-
-
-_LENGTH_OPS = {"=", "!=", "<", "<=", ">", ">="}
+        return all(LhsLength(op, k).admits(size) for op, k in self.length_bounds)
 
 
 def parse_minefd(text: str) -> MinefdStatement:
@@ -466,14 +420,8 @@ def parse_minefd(text: str) -> MinefdStatement:
                         raise ts.error("LHS LIKE given twice")
                     lhs_filter = parse_set_expr(ts, allow_lhs_forms=True)
                 elif ts.accept_kw("LENGTH"):
-                    op_tok = ts.peek()
-                    if op_tok.kind != "punct" or op_tok.text not in _LENGTH_OPS:
-                        raise ts.error("expected a comparison operator after LENGTH")
-                    ts.advance()
-                    num = ts.expect_number()
-                    if not isinstance(num.value, int) or num.value < 0:
-                        raise ts.error("LENGTH compares against an integer", num)
-                    length_bounds.append((op_tok.text, num.value))
+                    atom = parse_lhs_length(ts)
+                    length_bounds.append((atom.op, atom.length))
                 else:
                     raise ts.error("expected LIKE or LENGTH after LHS")
             elif ts.accept_kw("RHS"):

@@ -9,12 +9,16 @@ reproducible run to run.
 The error of a candidate X -> A is the fraction of ordered row pairs that
 agree on X but disagree on A, out of all n*(n-1) ordered pairs. It is 0
 exactly when the dependency holds. For n <= 1 the denominator degenerates
-and the error is defined as 0.
+and the error is defined as 0. The miner, approximate HOLDS and DEPENDENT
+all score through `pair_errors`, which never builds the X u {A} partition.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import ContractError
@@ -66,9 +70,11 @@ class FDCandidate:
             raise ContractError("trivial candidate: rhs inside lhs always holds")
 
 
-def _grouped(
-    relation: Relation, attrs: Sequence[int], scope: Iterable[int] | None
+def grouped(
+    relation: Relation, attrs: Sequence[int], scope: Iterable[int] | None = None
 ) -> dict[tuple, list[int]]:
+    """Scope rows (default: all) by their value tuple on `attrs`, ascending
+    within each group, groups in order of their smallest row."""
     rows = relation.rows
     indices = range(len(rows)) if scope is None else sorted(scope)
     groups: dict[tuple, list[int]] = {}
@@ -86,7 +92,7 @@ def pli_of(
     Ascending row iteration makes each cluster ascending and puts clusters
     in order of their smallest member without an extra sort.
     """
-    groups = _grouped(relation, attrs, scope)
+    groups = grouped(relation, attrs, scope)
     clusters = tuple(tuple(g) for g in groups.values() if len(g) >= 2)
     return PLI(clusters, relation.row_count)
 
@@ -121,6 +127,37 @@ def intersect(a: PLI, b: PLI) -> PLI:
     return PLI(tuple(out), a.relation_size)
 
 
+def value_ids(pli: PLI) -> list[int]:
+    """Per-row value id in [0, n) from a single-attribute partition: the
+    smallest row holding the same value."""
+    ids = list(range(pli.relation_size))
+    for cluster in pli.clusters:
+        first = cluster[0]
+        for row in cluster:
+            ids[row] = first
+    return ids
+
+
+def pair_errors(
+    pli: PLI, id_columns: Iterable[Sequence[int]], scope_size: int
+) -> list[float]:
+    """Error of X -> A for each dependent A given by its value ids, X being
+    the partition's attribute set over a scope of `scope_size` rows."""
+    denominator = scope_size * scope_size - scope_size
+    agree_lhs = pli.pair_count()
+    n = pli.relation_size
+    rows = list(chain.from_iterable(pli.clusters))
+    # one int per clustered row encodes (cluster, dependent value id);
+    # the c rows sharing one make c*c - c pairs agreeing on X and A
+    tags = [cid * n for cid, cluster in enumerate(pli.clusters) for _ in cluster]
+    errors = []
+    for ids in id_columns:
+        counts = Counter(map(add, tags, map(ids.__getitem__, rows))).values()
+        agree_both = sum(map(mul, counts, counts)) - len(rows)
+        errors.append((agree_lhs - agree_both) / denominator if denominator else 0.0)
+    return errors
+
+
 def violating_rows(
     relation: Relation,
     lhs: Sequence[int],
@@ -130,7 +167,7 @@ def violating_rows(
     """Rows inside lhs-clusters that disagree on rhs (the witnesses)."""
     rows = relation.rows
     bad: set[int] = set()
-    for group in _grouped(relation, lhs, scope).values():
+    for group in grouped(relation, lhs, scope).values():
         if len(group) < 2:
             continue
         values = {rows[i][rhs] for i in group}
@@ -161,10 +198,6 @@ def error_measure(
         indices = sorted(scope)
         if not indices:
             raise ContractError("error measure needs a non-empty scope")
-    n = len(indices)
-    if n <= 1:
-        return 0.0
-    lhs = sorted(cand.lhs)
-    agree_lhs = pli_of(relation, lhs, indices).pair_count()
-    agree_both = pli_of(relation, lhs + [cand.rhs], indices).pair_count()
-    return (agree_lhs - agree_both) / (n * n - n)
+    lhs_pli = pli_of(relation, sorted(cand.lhs), indices)
+    rhs_ids = value_ids(pli_of(relation, [cand.rhs], indices))
+    return pair_errors(lhs_pli, [rhs_ids], len(indices))[0]

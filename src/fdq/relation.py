@@ -195,12 +195,14 @@ def load_csv(
     decimal if every non-null cell parses as a decimal, else text.
     Without a header, attributes are named col0..colN-1.
     """
+    where = "CSV source"
     if isinstance(source, (str, os.PathLike)):
+        where = repr(os.fspath(source))
         try:
             with open(source, "rb") as fh:
                 raw = fh.read()
         except OSError as exc:
-            raise IngestError(f"cannot read {os.fspath(source)!r}: {exc}") from exc
+            raise IngestError(f"cannot read {where}: {exc.strerror}") from exc
     elif isinstance(source, bytes):
         raw = source
     elif hasattr(source, "read"):
@@ -210,14 +212,17 @@ def load_csv(
     else:
         raise TypeError(f"cannot ingest from {type(source).__name__}")
 
-    reader = csv.reader(io.StringIO(raw.decode("utf-8-sig")))
     records: list[list[str]] = []
     line_nums: list[int] = []
-    for record in reader:
-        if not record:
-            continue  # tolerate blank lines
-        records.append(record)
-        line_nums.append(reader.line_num)
+    try:
+        reader = csv.reader(io.StringIO(raw.decode("utf-8-sig")))
+        for record in reader:
+            if not record:
+                continue  # tolerate blank lines
+            records.append(record)
+            line_nums.append(reader.line_num)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IngestError(f"cannot parse {where}: {exc}") from exc
 
     if not records:
         raise SchemaError("empty source: no records to ingest")
@@ -284,7 +289,7 @@ RowPredicate = Union[Comparison, And, Or, Not]
 
 TRUE = And(())
 
-_OPS = {
+COMPARISON_OPS = {
     "=": operator.eq,
     "!=": operator.ne,
     "<": operator.lt,
@@ -316,7 +321,7 @@ def compare_values(value: Value, op: str, constant: Value) -> bool:
     """Three-valued comparison collapsed to bool: null operands never match."""
     if value is None:
         return False
-    return _OPS[op](value, constant)
+    return COMPARISON_OPS[op](value, constant)
 
 
 def eval_row_predicate(relation: Relation, predicate: RowPredicate) -> set[int]:
@@ -331,7 +336,7 @@ def eval_row_predicate(relation: Relation, predicate: RowPredicate) -> set[int]:
         meta = relation.attribute(predicate.attribute)
         check_comparable(meta.kind, predicate.constant)
         idx, op, const = meta.index, predicate.op, predicate.constant
-        if op not in _OPS:
+        if op not in COMPARISON_OPS:
             raise KindMismatchError(f"unknown operator {op!r}")
         return {
             i for i, row in enumerate(relation.rows)

@@ -425,17 +425,25 @@ class TestImportExport:
         assert str(target) in err
 
     @pytest.mark.parametrize(
-        "content", [None, b"\xff\xfe{}\n"], ids=["missing", "not-utf8"]
+        "statement, content",
+        [
+            ("IMPORT '{}' AS fs;", None),
+            ("IMPORT '{}' AS fs;", b"\xff\xfe{}\n"),
+            ("LOAD '{}' AS T;", None),
+        ],
+        ids=["missing", "not-utf8", "load-missing"],
     )
-    def test_unreadable_import_is_a_user_error(self, tmp_path, capsys, content):
-        target = tmp_path / "in.fdset"
+    def test_unreadable_import_is_a_user_error(
+        self, tmp_path, capsys, statement, content
+    ):
+        target = tmp_path / "in.file"
         if content is not None:
             target.write_bytes(content)
-        code = main(["exec", "-c", f"IMPORT '{target}' AS fs;"])
+        code = main(["exec", "-c", statement.format(target)])
         err = capsys.readouterr().err
         assert code == 1
         assert "internal error" not in err
-        assert str(target) in err
+        assert err.count(str(target)) == 1
 
 
 class TestExplain:
@@ -555,6 +563,33 @@ class TestMain:
     def test_exec_missing_script_file(self, capsys):
         assert main(["exec", "-f", "/nonexistent/x.fdq"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"a,b\n\xff,1\n", b"a,b\n" + b"x" * 131073 + b",1\n"],
+        ids=["not-utf8", "field-over-limit"],
+    )
+    def test_unparsable_csv_is_a_user_error(self, tmp_path, capsys, content):
+        (tmp_path / "t.csv").write_bytes(content)
+        code = main(
+            ["exec", "--data-dir", str(tmp_path), "-c", "LOAD 't.csv' AS T;"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "t.csv" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_rejected_up_front(self, data_dir, capsys, threads):
+        code = main(
+            [
+                "exec", "--threads", threads, "--data-dir", str(data_dir),
+                "-c", "LOAD 'iowa.csv' AS IOWA;",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "--threads" in captured.err
+        assert "loaded" not in captured.out
 
     def test_exec_user_error_is_code_1(self, capsys):
         assert main(["exec", "-c", "SELECT * FROM NOPE;"]) == 1

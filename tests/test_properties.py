@@ -336,13 +336,16 @@ def test_violates_stays_inside_conflicted_groups(case):
 
 
 @common
-@given(relations(min_attrs=2, max_attrs=4, max_rows=10))
-def test_dependent_matches_the_minimal_cover(relation):
+@given(
+    relations(min_attrs=2, max_attrs=5, max_rows=10),
+    st.sampled_from((0.0, 0.05, 0.2)),
+)
+def test_dependent_matches_the_minimal_cover(relation, bound):
     names = list(relation.attribute_names)
     x = names[: max(1, len(names) - 2)]
-    mined = brute_force_mine(relation)
+    mined = brute_force_mine(relation, MiningSpec(error_threshold=bound))
     expected = {e.rhs for e in mined.entries if e.lhs == tuple(sorted(x))}
-    result = eval_dependent(relation, x)
+    result = eval_dependent(relation, x, bound)
     assert set(result) == expected
     order = {m.name: m.index for m in relation.schema}
     assert result == sorted(result, key=order.get)
