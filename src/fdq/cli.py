@@ -29,13 +29,14 @@ from .query import (
     FdPredicate,
     execute,
     parse_extended_select,
+    parse_literal,
     parse_row_condition,
     select_to_text,
     _fd_predicate_to_text,
 )
-from .relation import And, Not, Or, Relation, Value, eval_row_predicate, load_csv
+from .relation import Relation, Value, eval_row_predicate, load_csv, walk
 from .result import ResultTable, format_cell
-from .tokens import TokenStream
+from .tokens import TokenStream, statement_parser
 
 OUTPUT_MODES = ("table", "csv", "records")
 
@@ -261,25 +262,12 @@ def _run_select(session: Session, line: str) -> str:
     return render(execute(ast, relation), session.output_mode)
 
 
-def _collect_fd_predicates(node) -> list[FdPredicate]:
-    if isinstance(node, FdPredicate):
-        return [node]
-    if isinstance(node, (And, Or)):
-        out = []
-        for item in node.items:
-            out.extend(_collect_fd_predicates(item))
-        return out
-    if isinstance(node, Not):
-        return _collect_fd_predicates(node.item)
-    return []
-
-
 def _run_explain(session: Session, line: str) -> str:
     rest = re.sub(r"^\s*EXPLAIN\b\s*", "", line, flags=re.IGNORECASE)
     ast = parse_extended_select(rest)
     _get_relation(session, ast.source)
     lines = [f"statement: {select_to_text(ast)}"]
-    preds = _collect_fd_predicates(ast.where) if ast.where is not None else []
+    preds = [node for node in walk(ast.where) if isinstance(node, FdPredicate)]
     for pred in preds:
         scope = "its ON scope" if pred.on is not None else "the whole table"
         lines.append(f"  evaluate {_fd_predicate_to_text(pred)} against {scope}")
@@ -346,18 +334,6 @@ def _run_import(session: Session, line: str) -> str:
     )
 
 
-def _parse_update_literal(ts: TokenStream) -> Value:
-    if ts.accept_kw("NULL"):
-        return None
-    tok = ts.peek()
-    if tok.kind == "string":
-        ts.advance()
-        return tok.value
-    negative = bool(ts.accept_punct("-"))
-    value = ts.expect_number().value
-    return -value if negative else value
-
-
 def _coerce_for(kind: str, value: Value, attr: str) -> Value:
     if value is None:
         return None
@@ -375,18 +351,25 @@ def _coerce_for(kind: str, value: Value, attr: str) -> Value:
     raise KindMismatchError(f"{attr!r} holds {kind} values, not {value!r}")
 
 
-def _run_update(session: Session, line: str) -> str:
+@statement_parser
+def _parse_update(line: str):
+    """`UPDATE <table> SET "<attr>" = <value> [WHERE <condition>]`."""
     ts = TokenStream(line)
     ts.expect_kw("UPDATE")
     table = ts.expect_ident("a table name")
     ts.expect_kw("SET")
     attr = ts.expect_string("a quoted attribute name").value
     ts.expect_punct("=")
-    literal = _parse_update_literal(ts)
+    literal = None if ts.accept_kw("NULL") else parse_literal(ts)
     condition = None
     if ts.accept_kw("WHERE"):
         condition = parse_row_condition(ts)
     ts.expect_end()
+    return table, attr, literal, condition
+
+
+def _run_update(session: Session, line: str) -> str:
+    table, attr, literal, condition = _parse_update(line)
     relation = _get_relation(session, table)
     meta = relation.attribute(attr)
     value = _coerce_for(meta.kind, literal, attr)

@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     UnsupportedOperationError,
 )
-from .relation import COMPARISON_OPS
+from .relation import COMPARISON_OPS, And, Or, condition_to_text, parse_and_or
 from .result import ResultTable
 from .setexpr import (
     SetExpr,
@@ -33,7 +33,7 @@ from .setexpr import (
     parse_set_expr,
     set_expr_to_text,
 )
-from .tokens import TokenStream
+from .tokens import TokenStream, statement_parser
 
 MINED = "mined"
 IMPORTED = "imported"
@@ -132,73 +132,45 @@ class ErrorLeq:
 
 
 @dataclass(frozen=True)
-class CondAnd:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class CondOr:
-    items: tuple
-
-
-FdmlCond = object  # LhsLike | RhsLike | LhsLength | ErrorLeq | CondAnd | CondOr
-
-
-@dataclass(frozen=True)
 class FdmlQuery:
     projection: str  # "star" (lhs, rhs, error) or "pairs" (lhs, rhs)
     source: str
-    where: object | None = None
+    where: object | None = None  # And/Or tree over the atoms above
 
 
 def _parse_fdml_atom(ts: TokenStream):
-    if ts.accept_punct("("):
-        node = _parse_fdml_or(ts)
-        ts.expect_punct(")")
-        return node
-    tok = ts.peek()
-    if tok.kind == "ident" and tok.text.upper() == "LHS":
-        ts.advance()
+    if ts.accept_kw("LHS"):
         if ts.accept_kw("LIKE"):
             return LhsLike(parse_set_expr(ts, allow_lhs_forms=True))
         if ts.accept_kw("LENGTH"):
             return parse_lhs_length(ts)
         raise ts.error("expected LIKE or LENGTH after LHS")
-    if tok.kind == "ident" and tok.text.upper() == "RHS":
-        ts.advance()
+    if ts.accept_kw("RHS"):
         ts.expect_kw("LIKE")
         return RhsLike(parse_set_expr(ts))
-    if tok.kind == "ident" and tok.text.upper() == "ERROR":
-        ts.advance()
+    if ts.accept_kw("ERROR"):
         num = ts.expect_number()
         return ErrorLeq(float(num.value))
     raise ts.error("expected LHS, RHS, ERROR, or a parenthesized condition")
 
 
-def _parse_fdml_and(ts: TokenStream):
-    items = [_parse_fdml_atom(ts)]
-    while ts.accept_kw("AND"):
-        items.append(_parse_fdml_atom(ts))
-    return items[0] if len(items) == 1 else CondAnd(tuple(items))
-
-
-def _parse_fdml_or(ts: TokenStream):
-    items = [_parse_fdml_and(ts)]
-    while ts.accept_kw("OR"):
-        items.append(_parse_fdml_and(ts))
-    return items[0] if len(items) == 1 else CondOr(tuple(items))
+def parse_fdml_condition(ts: TokenStream):
+    """A dependency condition: LHS LIKE, RHS LIKE, LHS LENGTH and ERROR
+    atoms under AND/OR. SELECTDEP and MINEFD both read their WHERE with it."""
+    return parse_and_or(ts, _parse_fdml_atom)
 
 
 def _max_error_atoms_per_path(node) -> int:
     if isinstance(node, ErrorLeq):
         return 1
-    if isinstance(node, CondAnd):
+    if isinstance(node, And):
         return sum(_max_error_atoms_per_path(item) for item in node.items)
-    if isinstance(node, CondOr):
+    if isinstance(node, Or):
         return max(_max_error_atoms_per_path(item) for item in node.items)
     return 0
 
 
+@statement_parser
 def parse_fdml(text: str) -> FdmlQuery:
     """Parse a dependency query.
 
@@ -222,14 +194,14 @@ def parse_fdml(text: str) -> FdmlQuery:
     source = ts.expect_ident("a dependency-set name")
     where = None
     if ts.accept_kw("WHERE"):
-        where = _parse_fdml_or(ts)
+        where = parse_fdml_condition(ts)
         if _max_error_atoms_per_path(where) > 1:
             raise ParseError("at most one ERROR bound per AND-chain")
     ts.expect_end()
     return FdmlQuery(projection, source, where)
 
 
-def _fdml_cond_to_text(node) -> str:
+def _fdml_atom_to_text(node) -> str:
     if isinstance(node, LhsLike):
         return f"LHS LIKE {set_expr_to_text(node.expr)}"
     if isinstance(node, RhsLike):
@@ -238,14 +210,6 @@ def _fdml_cond_to_text(node) -> str:
         return f"LHS LENGTH {node.op} {node.length}"
     if isinstance(node, ErrorLeq):
         return f"ERROR {node.threshold!r}"
-    if isinstance(node, (CondAnd, CondOr)):
-        word = " AND " if isinstance(node, CondAnd) else " OR "
-        parts = [
-            f"({_fdml_cond_to_text(i)})" if isinstance(i, (CondAnd, CondOr))
-            else _fdml_cond_to_text(i)
-            for i in node.items
-        ]
-        return word.join(parts)
     raise TypeError(f"not a condition node: {node!r}")
 
 
@@ -254,7 +218,7 @@ def fdml_to_text(query: FdmlQuery) -> str:
     proj = "*" if query.projection == "star" else "LHS -> RHS"
     text = f"SELECTDEP {proj} FROM {query.source}"
     if query.where is not None:
-        text += f" WHERE {_fdml_cond_to_text(query.where)}"
+        text += f" WHERE {condition_to_text(query.where, _fdml_atom_to_text)}"
     return text
 
 
@@ -268,10 +232,14 @@ def _entry_matches(node, entry: FDEntry, schema: Sequence[str]) -> bool:
         return node.admits(len(entry.lhs))
     if isinstance(node, ErrorLeq):
         return entry.error <= node.threshold
-    if isinstance(node, CondAnd):
-        return all(_entry_matches(i, entry, schema) for i in node.items)
-    if isinstance(node, CondOr):
-        return any(_entry_matches(i, entry, schema) for i in node.items)
+    if isinstance(node, (And, Or)):
+        # Or stops at the first match, And at the first miss; a loop rather
+        # than any()/all() keeps one stack frame per level, fewer than parsing
+        decisive = isinstance(node, Or)
+        for item in node.items:
+            if _entry_matches(item, entry, schema) is decisive:
+                return decisive
+        return not decisive
     raise TypeError(f"not a condition node: {node!r}")
 
 
@@ -404,6 +372,8 @@ def loads_fdset(text: str) -> FDSet:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+        except RecursionError:
+            raise ParseError(f"line {lineno}: JSON nests too deeply") from None
         if not isinstance(record, dict):
             raise ParseError(f"line {lineno}: expected an object")
         if header is None:

@@ -24,12 +24,22 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import ContractError, NameResolutionError, ParameterError
-from .fdstore import FDEntry, FDSet, LhsLength, MINED, canonical_key, parse_lhs_length
+from .fdstore import (
+    ErrorLeq,
+    FDEntry,
+    FDSet,
+    LhsLength,
+    LhsLike,
+    MINED,
+    RhsLike,
+    canonical_key,
+    parse_fdml_condition,
+)
 from .partition import PLI, build_pli, grouped, intersect, pair_errors, value_ids
 from .query import Cell, PatternTableau, cell_matches
-from .relation import Relation
-from .setexpr import SetExpr, eval_subset_expr, literal_patterns, parse_set_expr
-from .tokens import TokenStream, is_kw
+from .relation import Or, Relation, walk
+from .setexpr import SetExpr, eval_subset_expr, literal_patterns
+from .tokens import TokenStream, statement_parser
 
 log = logging.getLogger("fdq.miner")
 
@@ -388,13 +398,15 @@ class MinefdStatement:
         return all(LhsLength(op, k).admits(size) for op, k in self.length_bounds)
 
 
+@statement_parser
 def parse_minefd(text: str) -> MinefdStatement:
     """Parse a mining statement.
 
     A trailing `ERROR <bound>` after the table sets the mining threshold;
     `, ERROR` inside the SELECT list asks for the error column in the
-    rendered output. WHERE accepts an AND-chain of LHS LIKE, RHS LIKE,
-    and LHS LENGTH constraints; each LIKE side may appear once.
+    rendered output. WHERE takes SELECTDEP's LHS LIKE, RHS LIKE and LHS
+    LENGTH atoms, joined by AND only (parentheses allowed); each LIKE side
+    may appear once.
     """
     ts = TokenStream(text)
     ts.expect_kw("MINEFD")
@@ -413,28 +425,25 @@ def parse_minefd(text: str) -> MinefdStatement:
     rhs_filter = None
     length_bounds: list[tuple[str, int]] = []
     if ts.accept_kw("WHERE"):
-        while True:
-            if ts.accept_kw("LHS"):
-                if ts.accept_kw("LIKE"):
-                    if lhs_filter is not None:
-                        raise ts.error("LHS LIKE given twice")
-                    lhs_filter = parse_set_expr(ts, allow_lhs_forms=True)
-                elif ts.accept_kw("LENGTH"):
-                    atom = parse_lhs_length(ts)
-                    length_bounds.append((atom.op, atom.length))
-                else:
-                    raise ts.error("expected LIKE or LENGTH after LHS")
-            elif ts.accept_kw("RHS"):
-                ts.expect_kw("LIKE")
+        where = ts.peek()
+        for node in walk(parse_fdml_condition(ts)):
+            if isinstance(node, Or):
+                raise ts.error("mining constraints combine with AND only", where)
+            if isinstance(node, ErrorLeq):
+                raise ts.error(
+                    "the mining bound goes after the table: FROM <table> ERROR <bound>",
+                    where,
+                )
+            if isinstance(node, LhsLike):
+                if lhs_filter is not None:
+                    raise ts.error("LHS LIKE given twice", where)
+                lhs_filter = node.expr
+            elif isinstance(node, RhsLike):
                 if rhs_filter is not None:
-                    raise ts.error("RHS LIKE given twice")
-                rhs_filter = parse_set_expr(ts)
-            else:
-                raise ts.error("expected LHS or RHS constraint")
-            if not ts.accept_kw("AND"):
-                if is_kw(ts.peek(), "OR"):
-                    raise ts.error("mining constraints combine with AND only")
-                break
+                    raise ts.error("RHS LIKE given twice", where)
+                rhs_filter = node.expr
+            elif isinstance(node, LhsLength):
+                length_bounds.append((node.op, node.length))
 
     ts.expect_kw("FROM")
     table = ts.expect_ident("a table name")

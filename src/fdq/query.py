@@ -18,20 +18,24 @@ from .errors import ContractError, ParameterError, ParseError
 from . import partition
 from .partition import FDCandidate, error_measure, grouped, violating_rows
 from .relation import (
+    COMPARISON_OPS,
     And,
     Comparison,
     Not,
     Or,
     Relation,
     RowPredicate,
-    TRUE,
     Value,
     check_comparable,
     compare_values,
+    condition_to_text,
     eval_row_predicate,
+    parse_and_or,
+    parse_operand,
+    walk,
 )
 from .result import ResultTable
-from .tokens import TokenStream, is_kw
+from .tokens import TokenStream, is_kw, statement_parser
 
 DEFAULT_VIOLATION_THRESHOLD = 0.75
 
@@ -93,10 +97,8 @@ class ExtendedSelect:
 
 # --- parsing ------------------------------------------------------------------
 
-_CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
-
-
-def _parse_literal(ts: TokenStream) -> Value:
+def parse_literal(ts: TokenStream) -> Value:
+    """A quoted string or an optionally negated number."""
     tok = ts.peek()
     if tok.kind == "string":
         ts.advance()
@@ -113,10 +115,10 @@ def _parse_literal(ts: TokenStream) -> Value:
 def _parse_comparison(ts: TokenStream, bracketed: bool) -> Comparison:
     attr = ts.expect_string("a quoted attribute name").value
     op_tok = ts.peek()
-    if op_tok.kind != "punct" or op_tok.text not in _CMP_OPS:
+    if op_tok.kind != "punct" or op_tok.text not in COMPARISON_OPS:
         raise ts.error("expected a comparison operator")
     ts.advance()
-    constant = _parse_literal(ts)
+    constant = parse_literal(ts)
     if bracketed:
         ts.expect_punct("]")
     return Comparison(attr, op_tok.text, constant)
@@ -124,33 +126,15 @@ def _parse_comparison(ts: TokenStream, bracketed: bool) -> Comparison:
 
 def _parse_condition_atom(ts: TokenStream):
     if ts.accept_kw("NOT"):
-        return Not(_parse_condition_atom(ts))
-    if ts.accept_punct("("):
-        node = _parse_condition_or(ts)
-        ts.expect_punct(")")
-        return node
+        return Not(parse_operand(ts, _parse_condition_atom))
     if ts.accept_punct("["):
         return _parse_comparison(ts, bracketed=True)
     return _parse_comparison(ts, bracketed=False)
 
 
-def _parse_condition_and(ts: TokenStream):
-    items = [_parse_condition_atom(ts)]
-    while ts.accept_kw("AND"):
-        items.append(_parse_condition_atom(ts))
-    return items[0] if len(items) == 1 else And(tuple(items))
-
-
-def _parse_condition_or(ts: TokenStream):
-    items = [_parse_condition_and(ts)]
-    while ts.accept_kw("OR"):
-        items.append(_parse_condition_and(ts))
-    return items[0] if len(items) == 1 else Or(tuple(items))
-
-
 def parse_row_condition(ts: TokenStream):
     """Plain row condition: comparisons (bracketed or bare) under AND/OR/NOT."""
-    return _parse_condition_or(ts)
+    return parse_and_or(ts, _parse_condition_atom)
 
 
 def _parse_name_list(ts: TokenStream) -> tuple[str, ...]:
@@ -194,11 +178,15 @@ def _parse_fd_body(ts: TokenStream, allow_on: bool, allow_error: bool, op: str):
 
 
 def _fan_out(kind, lhs, rhs_list, on, error, suspect=None):
+    """One predicate per dependent. NOT HOLDS keeps the witnesses against
+    any of them, so it joins with OR; HOLDS and VIOLATES join with AND."""
     preds = tuple(
         FdPredicate(kind, lhs, rhs, on=on, error=error, suspect=suspect)
         for rhs in rhs_list
     )
-    return preds[0] if len(preds) == 1 else And(preds)
+    if len(preds) == 1:
+        return preds[0]
+    return Or(preds) if kind == "not_holds" else And(preds)
 
 
 def _parse_where_item(ts: TokenStream):
@@ -211,7 +199,7 @@ def _parse_where_item(ts: TokenStream):
             lhs, rhs, on, _ = _parse_fd_body(ts, allow_on=True, allow_error=False, op="=")
             return _fan_out("not_holds", lhs, rhs, on, None)
         ts.advance()
-        inner = _parse_where_item(ts)
+        inner = parse_operand(ts, _parse_where_item)
         return _negate_where(ts, inner)
     if is_kw(tok, "HOLDS"):
         ts.advance()
@@ -224,11 +212,6 @@ def _parse_where_item(ts: TokenStream):
         if suspect not in lhs:
             raise ts.error(f"suspect {suspect!r} must be part of the determinant")
         return _fan_out("violates", lhs, rhs, None, error, suspect=suspect)
-    if tok.kind == "punct" and tok.text == "(":
-        ts.advance()
-        node = _parse_where_or(ts)
-        ts.expect_punct(")")
-        return node
     if tok.kind == "punct" and tok.text == "[":
         ts.advance()
         return _parse_comparison(ts, bracketed=True)
@@ -245,41 +228,20 @@ def _negate_where(ts: TokenStream, inner):
         if inner.kind == "not_holds":
             return FdPredicate("holds", inner.lhs, inner.rhs, on=inner.on)
         raise ts.error("only exact HOLDS / NOT HOLDS can be negated")
-    if _contains_fd_predicate(inner):
+    if any(isinstance(node, FdPredicate) for node in walk(inner)):
         raise ts.error("NOT cannot wrap a group containing dependency predicates")
     return Not(inner)
 
 
-def _contains_fd_predicate(node) -> bool:
-    if isinstance(node, FdPredicate):
-        return True
-    if isinstance(node, (And, Or)):
-        return any(_contains_fd_predicate(i) for i in node.items)
-    if isinstance(node, Not):
-        return _contains_fd_predicate(node.item)
-    return False
-
-
-def _parse_where_and(ts: TokenStream):
-    items = [_parse_where_item(ts)]
-    while ts.accept_kw("AND"):
-        items.append(_parse_where_item(ts))
-    return items[0] if len(items) == 1 else And(tuple(items))
-
-
-def _parse_where_or(ts: TokenStream):
-    items = [_parse_where_and(ts)]
-    while ts.accept_kw("OR"):
-        items.append(_parse_where_and(ts))
-    return items[0] if len(items) == 1 else Or(tuple(items))
-
-
+@statement_parser
 def parse_extended_select(text: str) -> ExtendedSelect:
     """Parse `SELECT <projection> FROM <table> [WHERE <tree>]`.
 
     The projection is *, a list of quoted attribute names, or
     DEPENDENT(["A", ...][, ERROR = r]). Multi-attribute right-hand sides
-    inside a predicate fan out into a conjunction of single-rhs predicates.
+    inside a predicate fan out into single-rhs predicates: a conjunction
+    for HOLDS and VIOLATES, a disjunction for NOT HOLDS, so NOT HOLDS
+    returns the witnesses against any dependent, the complement of HOLDS.
     """
     ts = TokenStream(text)
     ts.expect_kw("SELECT")
@@ -303,7 +265,7 @@ def parse_extended_select(text: str) -> ExtendedSelect:
     source = ts.expect_ident("a table name")
     where = None
     if ts.accept_kw("WHERE"):
-        where = _parse_where_or(ts)
+        where = parse_and_or(ts, _parse_where_item)
     ts.expect_end()
     return ExtendedSelect(projection, source, where)
 
@@ -318,30 +280,19 @@ def _literal_to_text(value: Value) -> str:
     raise TypeError(f"cannot print literal {value!r}")
 
 
-def _condition_to_text(node) -> str:
+def _leaf_to_text(node) -> str:
     if isinstance(node, Comparison):
         return f'"{node.attribute}" {node.op} {_literal_to_text(node.constant)}'
-    if isinstance(node, And):
-        return " AND ".join(_wrap(i) for i in node.items)
-    if isinstance(node, Or):
-        return " OR ".join(_wrap(i) for i in node.items)
-    if isinstance(node, Not):
-        return f"NOT {_wrap(node.item)}"
     if isinstance(node, FdPredicate):
         return _fd_predicate_to_text(node)
     raise TypeError(f"not a condition node: {node!r}")
-
-
-def _wrap(node) -> str:
-    text = _condition_to_text(node)
-    return f"({text})" if isinstance(node, (And, Or)) else text
 
 
 def _fd_predicate_to_text(pred: FdPredicate) -> str:
     lhs = ", ".join(f'"{a}"' for a in pred.lhs)
     body = f'{lhs} -> "{pred.rhs}"'
     if pred.on is not None:
-        body += f" ON {_condition_to_text(pred.on)}"
+        body += f" ON {condition_to_text(pred.on, _leaf_to_text)}"
     if pred.kind == "holds":
         if pred.error is not None:
             body += f", ERROR = {pred.error!r}"
@@ -369,7 +320,7 @@ def select_to_text(ast: ExtendedSelect) -> str:
         proj += ")"
     text = f"SELECT {proj} FROM {ast.source}"
     if ast.where is not None:
-        text += f" WHERE {_condition_to_text(ast.where)}"
+        text += f" WHERE {condition_to_text(ast.where, _leaf_to_text)}"
     return text
 
 

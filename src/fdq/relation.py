@@ -26,6 +26,7 @@ from .errors import (
     NameResolutionError,
     SchemaError,
 )
+from .tokens import TokenStream
 
 Value = Union[int, Decimal, str, None]
 
@@ -288,6 +289,65 @@ class Not:
 RowPredicate = Union[Comparison, And, Or, Not]
 
 TRUE = And(())
+
+
+# Row conditions, the SELECT WHERE tree, SELECTDEP and MINEFD conditions all
+# build And/Or/Not trees over their own leaves with the functions below.
+
+def _joined(node, items: list):
+    return items[0] if len(items) == 1 else node(tuple(items))
+
+
+def parse_and_or(ts: TokenStream, atom):
+    """Parse an OR of AND-chains over the leaf parser `atom(ts)`. AND binds
+    tighter than OR, parentheses group, and a lone item stays bare."""
+    alternatives = []
+    while True:
+        chain = [parse_operand(ts, atom)]
+        while ts.accept_kw("AND"):
+            chain.append(parse_operand(ts, atom))
+        alternatives.append(_joined(And, chain))
+        if not ts.accept_kw("OR"):
+            return _joined(Or, alternatives)
+
+
+def parse_operand(ts: TokenStream, atom):
+    """One operand of AND/OR (or of NOT): a parenthesized condition or a leaf."""
+    if ts.accept_punct("("):
+        node = parse_and_or(ts, atom)
+        ts.expect_punct(")")
+        return node
+    return atom(ts)
+
+
+def walk(node):
+    """Every node of a condition tree, parents first, left to right. Leaves
+    are not entered: an FD predicate's ON condition is not part of the walk."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (And, Or)):
+            stack.extend(reversed(node.items))
+        elif isinstance(node, Not):
+            stack.append(node.item)
+
+
+def condition_to_text(node, leaf_text) -> str:
+    """Text that parses back to the same tree: `leaf_text` prints the
+    leaves, and nested And/Or print in parentheses."""
+    if not isinstance(node, (And, Or, Not)):
+        return leaf_text(node)
+    parts = []
+    # a plain loop keeps printing at one stack frame per level, fewer than
+    # parsing takes, so any tree that parsed also prints
+    for item in (node.item,) if isinstance(node, Not) else node.items:
+        text = condition_to_text(item, leaf_text)
+        parts.append(f"({text})" if isinstance(item, (And, Or)) else text)
+    if isinstance(node, Not):
+        return f"NOT {parts[0]}"
+    return (" AND " if isinstance(node, And) else " OR ").join(parts)
+
 
 COMPARISON_OPS = {
     "=": operator.eq,

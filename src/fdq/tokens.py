@@ -9,6 +9,7 @@ everything else Decimal.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -60,6 +61,20 @@ def tokenize(text: str) -> list[Token]:
         i = m.end()
     tokens.append(Token("end", "", None, len(text) + 1))
     return tokens
+
+
+def statement_parser(parse):
+    """Report a statement nested past the recursion limit as a ParseError.
+    Only parsers are wrapped, never evaluation, so a real bug stays one."""
+
+    @functools.wraps(parse)
+    def guarded(text: str):
+        try:
+            return parse(text)
+        except RecursionError:
+            raise ParseError("statement nests too deeply") from None
+
+    return guarded
 
 
 def is_kw(tok: Token, word: str) -> bool:

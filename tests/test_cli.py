@@ -1,7 +1,13 @@
+import contextlib
+import inspect
 import io
+import pathlib
+import sys
+import tempfile
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdq.cli import (
     QuitRequested,
@@ -424,6 +430,17 @@ class TestImportExport:
         assert "internal error" not in err
         assert str(target) in err
 
+    def test_deeply_nested_fdset_line_is_a_user_error(self, tmp_path, capsys):
+        (tmp_path / "deep.fdset").write_text(
+            f"{self.HEADER}\n{'[' * 100000}\n", encoding="utf-8"
+        )
+        code = main(
+            ["exec", "--data-dir", str(tmp_path), "-c", "IMPORT 'deep.fdset' AS fs;"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "line 2" in err and "internal error" not in err
+
     @pytest.mark.parametrize(
         "statement, content",
         [
@@ -591,6 +608,23 @@ class TestMain:
         assert captured.err.startswith("error:") and "--threads" in captured.err
         assert "loaded" not in captured.out
 
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "SELECT * FROM T WHERE " + "(" * 5000,
+            "SELECT * FROM T WHERE " + "NOT " * 5000 + '"A" = 1',
+            'UPDATE T SET "A" = 1 WHERE ' + "NOT " * 5000 + '"A" = 1',
+            "SELECTDEP * FROM fs WHERE " + "(" * 5000,
+            "MINEFD fs AS SELECT LHS -> RHS WHERE " + "(" * 5000,
+        ],
+        ids=["select-parens", "select-not-chain", "update-not-chain",
+             "selectdep-parens", "minefd-parens"],
+    )
+    def test_deep_nesting_is_a_user_error(self, capsys, statement):
+        assert main(["exec", "-c", statement]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "internal error" not in err
+
     def test_exec_user_error_is_code_1(self, capsys):
         assert main(["exec", "-c", "SELECT * FROM NOPE;"]) == 1
         assert "error: no loaded table" in capsys.readouterr().err
@@ -644,3 +678,112 @@ class TestMain:
         monkeypatch.setenv("FDQ_DATA_DIR", str(data_dir))
         assert main(["exec", "-c", "LOAD 'iowa.csv' AS IOWA;"]) == 0
         assert "loaded IOWA" in capsys.readouterr().out
+
+
+# --- fuzzing: malformed input is a user error, never an internal one --------------
+
+FUZZ_WORDS = (
+    "SELECT", "SELECTDEP", "MINEFD", "FROM", "WHERE", "AND", "OR", "NOT",
+    "HOLDS", "VIOLATES", "DEPENDENT", "ON", "ERROR", "LHS", "RHS", "LIKE",
+    "LENGTH", "AS", "SET", "NULL", "IOWA", "fs",
+)
+FUZZ_PUNCT = (
+    "(", ")", "[", "]", "{", "}", ",", "->", "*", "+", "-",
+    "=", "!=", "<", "<=", ">", ">=", ";",
+)
+FUZZ_LITERALS = (
+    '"Zip"', '"Address"', '"Pack"', '"Category*"', '"nope"', "'HWY 71'",
+    "0", "1", "-3", "0.05", "750", "1e400",
+)
+FUZZ_PREFIXES = (
+    "SELECT * FROM IOWA WHERE ",
+    "SELECTDEP * FROM fs WHERE ",
+    "MINEFD g AS SELECT LHS -> RHS WHERE ",
+    "UPDATE IOWA SET ",
+    "EXPLAIN ",
+)
+token_soup = st.lists(
+    st.sampled_from(FUZZ_WORDS + FUZZ_PUNCT + FUZZ_LITERALS), max_size=14
+).map(" ".join)
+file_bytes = st.binary(max_size=200) | st.text(
+    alphabet='{}[]",:0123456789.-eE abAB\n\r', max_size=200
+).map(str.encode)
+fuzz = settings(derandomize=True, deadline=None, max_examples=300)
+_fuzz_base = []
+
+
+def run_fuzzed(script: str) -> tuple[int, str]:
+    """Run a script in a session holding IOWA and the set fs; (code, stderr)."""
+    if not _fuzz_base:
+        data = pathlib.Path(__file__).resolve().parent.parent / "data"
+        base = Session(data_dir=str(data), clock=lambda: FIXED_CLOCK)
+        run(base, "LOAD 'iowa.csv' AS IOWA", "MINEFD fs AS SELECT LHS -> RHS FROM IOWA")
+        _fuzz_base.append(base)
+    base = _fuzz_base[0]
+    session = Session(
+        relations=dict(base.relations),
+        fdsets=dict(base.fdsets),
+        data_dir=base.data_dir,
+        clock=base.clock,
+    )
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_script(session, script, out=io.StringIO())
+    return code, err.getvalue()
+
+
+class TestFuzz:
+    @fuzz
+    @given(st.sampled_from(FUZZ_PREFIXES), token_soup)
+    def test_token_soup_is_never_an_internal_error(self, prefix, soup):
+        code, err = run_fuzzed(prefix + soup)
+        assert code in (0, 1)
+        assert "internal error" not in err
+
+    @fuzz
+    @given(st.sampled_from(("LOAD '{}' AS T;", "IMPORT '{}' AS g;")), file_bytes)
+    def test_random_file_bytes_are_never_an_internal_error(self, statement, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            target = pathlib.Path(tmp) / "in.file"
+            target.write_bytes(content)
+            code, err = run_fuzzed(statement.format(target))
+        assert code in (0, 1)
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "prefix, opening, leaf",
+        [
+            ("EXPLAIN SELECT * FROM IOWA WHERE ", 'HOLDS ("Zip" -> "Pack") AND (',
+             '"Zip" = 1'),
+            ("SELECT * FROM IOWA WHERE ", 'NOT ("Zip" = 1 OR ', '"Zip" = 1'),
+            ("SELECTDEP * FROM fs WHERE ", "LHS LENGTH = 9 OR (", "LHS LENGTH = 9"),
+        ],
+        ids=["explain", "select", "selectdep"],
+    )
+    def test_deepest_parsable_statement_still_runs(self, prefix, opening, leaf):
+        # printing and evaluating a tree must take no more stack per level
+        # than parsing it, or the deepest statement that parses would crash.
+        # A low recursion limit keeps the statements short, and `extra`
+        # frames under the call shift the depth at which parsing gives up.
+        def attempt(depth, extra):
+            if extra:
+                return attempt(depth, extra - 1)
+            code, err = run_fuzzed(prefix + opening * depth + leaf + ")" * depth)
+            assert code in (0, 1) and "internal error" not in err
+            return "nests too deeply" not in err
+
+        run_fuzzed("")  # builds the shared session under the normal limit
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 300)
+        try:
+            for extra in range(4):
+                parses, too_deep = 1, 300  # each level costs at least a frame
+                assert attempt(parses, extra) and not attempt(too_deep, extra)
+                while too_deep - parses > 1:
+                    middle = (parses + too_deep) // 2
+                    if attempt(middle, extra):
+                        parses = middle
+                    else:
+                        too_deep = middle
+        finally:
+            sys.setrecursionlimit(limit)

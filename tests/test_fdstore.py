@@ -7,8 +7,6 @@ from fdq.errors import (
     UnsupportedOperationError,
 )
 from fdq.fdstore import (
-    CondAnd,
-    CondOr,
     ErrorLeq,
     FDEntry,
     FDSet,
@@ -29,6 +27,7 @@ from fdq.fdstore import (
     save_fdset,
 )
 from fdq.miner import brute_force_mine, mine_fds
+from fdq.relation import And, Or
 from fdq.setexpr import (
     AllOf,
     AnyOf,
@@ -123,9 +122,9 @@ class TestParseFdml:
             'AND RHS LIKE {"Sale", "Date"}) '
             'OR (LHS LIKE {"Vendor"} AND LHS LENGTH = 3 AND RHS LIKE {"*Sold"})'
         )
-        assert isinstance(q.where, CondOr)
+        assert isinstance(q.where, Or)
         first, second = q.where.items
-        assert isinstance(first, CondAnd)
+        assert isinstance(first, And)
         assert isinstance(first.items[0], LhsLike)
         assert isinstance(first.items[1], RhsLike)
         assert second.items[1] == LhsLength("=", 3)
@@ -148,7 +147,7 @@ class TestParseFdml:
 
     def test_error_bounds_on_separate_branches_allowed(self):
         q = parse_fdml("SELECTDEP * FROM fs WHERE ERROR 0.1 OR ERROR 0.2")
-        assert isinstance(q.where, CondOr)
+        assert isinstance(q.where, Or)
 
     def test_syntax_errors_carry_position(self):
         with pytest.raises(ParseError, match="col"):

@@ -3,7 +3,7 @@ import logging
 import pytest
 
 import fdq.miner
-from fdq.errors import ContractError, NameResolutionError, ParameterError
+from fdq.errors import ContractError, NameResolutionError, ParameterError, ParseError
 from fdq.fdstore import FDEntry
 from fdq.miner import (
     CFD,
@@ -289,11 +289,33 @@ class TestMinefdStatement:
         assert stmt.length_bounds == (("<=", 2),)
         assert stmt.mining_spec().max_lhs_len == 2
 
-    def test_or_rejected(self):
+    @pytest.mark.parametrize(
+        "where",
+        [
+            'LHS LIKE {"A"} OR RHS LIKE {"B"}',
+            'LHS LENGTH <= 1 AND (RHS LIKE {"A"} OR LHS LENGTH = 1)',
+        ],
+        ids=["or-at-top", "or-in-group"],
+    )
+    def test_or_rejected(self, where):
         with pytest.raises(Exception, match="AND only"):
+            parse_minefd(f"MINEFD fs AS SELECT LHS -> RHS WHERE {where} FROM IOWA")
+
+    def test_parenthesized_where_mines_the_same_set(self, iowa):
+        plain = parse_minefd(
+            "MINEFD fs AS SELECT LHS -> RHS WHERE LHS LENGTH <= 1 FROM IOWA"
+        )
+        grouped = parse_minefd(
+            "MINEFD fs AS SELECT LHS -> RHS WHERE (LHS LENGTH <= 1) FROM IOWA"
+        )
+        assert grouped == plain
+        assert execute_minefd(grouped, iowa) == execute_minefd(plain, iowa)
+
+    def test_error_atom_in_where_points_to_the_trailing_bound(self):
+        with pytest.raises(ParseError, match=r"FROM <table> ERROR <bound>"):
             parse_minefd(
-                'MINEFD fs AS SELECT LHS -> RHS WHERE LHS LIKE {"A"} '
-                'OR RHS LIKE {"B"} FROM IOWA'
+                "MINEFD fs AS SELECT LHS -> RHS WHERE LHS LENGTH <= 1 AND ERROR 0.1 "
+                "FROM IOWA"
             )
 
     def test_execute_with_exact_length(self, iowa):

@@ -7,8 +7,6 @@ from decimal import Decimal
 from hypothesis import given, settings, strategies as st
 
 from fdq.fdstore import (
-    CondAnd,
-    CondOr,
     ErrorLeq,
     FDEntry,
     FDSet,
@@ -138,12 +136,12 @@ def fdml_and_chains(draw):
         items.insert(draw(st.integers(0, len(items))), draw(error_atoms))
     if len(items) == 1:
         return items[0]
-    return CondAnd(tuple(items))
+    return And(tuple(items))
 
 
 fdml_conditions = fdml_and_chains() | st.lists(
     fdml_and_chains(), min_size=2, max_size=3
-).map(lambda items: CondOr(tuple(items)))
+).map(lambda items: Or(tuple(items)))
 
 fdml_queries = st.builds(
     FdmlQuery,

@@ -130,6 +130,17 @@ class TestParse:
             )
         )
 
+    def test_multi_rhs_not_holds_fans_out_into_a_disjunction(self):
+        ast = parse_extended_select(
+            'SELECT * FROM IOWA WHERE NOT HOLDS ("Zip" -> "Pack", "Category")'
+        )
+        assert ast.where == Or(
+            (
+                FdPredicate("not_holds", ("Zip",), "Pack"),
+                FdPredicate("not_holds", ("Zip",), "Category"),
+            )
+        )
+
     def test_predicates_mix_with_row_filters(self):
         ast = parse_extended_select(
             'SELECT * FROM IOWA WHERE HOLDS ("Zip" -> "Pack") AND "BtlVol" >= 750'
@@ -218,6 +229,17 @@ class TestPrint:
         assert parse_extended_select(printed) == ast
         # printing is canonical: a second round trip is the identity
         assert select_to_text(parse_extended_select(printed)) == printed
+
+    def test_multi_rhs_not_holds_prints_as_a_disjunction(self):
+        ast = parse_extended_select(
+            'SELECT * FROM t WHERE "A" = 1 AND NOT HOLDS ("A" -> "B", "C")'
+        )
+        printed = select_to_text(ast)
+        assert printed == (
+            'SELECT * FROM t WHERE "A" = 1 AND '
+            '(NOT HOLDS ("A" -> "B") OR NOT HOLDS ("A" -> "C"))'
+        )
+        assert parse_extended_select(printed) == ast
 
     def test_string_constants_print_single_quoted(self):
         ast = parse_extended_select('SELECT * FROM t WHERE ["a" = "x"]')
@@ -474,6 +496,17 @@ class TestExecute:
             iowa,
         )
         assert [r[1] for r in out.rows] == ["IOWA ST", "ELM ST", "HWY 71", "HWY 71"]
+
+    def test_multi_rhs_not_holds_is_the_complement_of_holds(self):
+        t = rel(
+            ["A", "B", "C"],
+            [("1", "x", "p"), ("1", "y", "p"), ("2", "z", "q"), ("2", "z", "r"),
+             ("3", "w", "s")],
+        )
+        holds = self.run('SELECT "A" FROM t WHERE HOLDS ("A" -> "B", "C")', t)
+        witnesses = self.run('SELECT "A" FROM t WHERE NOT HOLDS ("A" -> "B", "C")', t)
+        assert holds.rows == (("3",),)
+        assert witnesses.rows == (("1",), ("1",), ("2",), ("2",))
 
     def test_empty_result(self, iowa):
         out = self.run('SELECT * FROM IOWA WHERE ["Pack" = 999]', iowa)
