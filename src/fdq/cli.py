@@ -456,6 +456,8 @@ def run_repl(session: Session, stdin=None, out=None) -> int:
             session, output = run_command(session, statement)
         except QuitRequested:
             return False
+        except KeyboardInterrupt:
+            print("cancelled", file=out)  # the session stays as it was
         except FdqError as exc:
             print(f"error: {exc}", file=out)
         except Exception as exc:  # pragma: no cover - defensive
@@ -469,7 +471,12 @@ def run_repl(session: Session, stdin=None, out=None) -> int:
     while True:
         if interactive:
             print("fdq> " if not buffer else "...> ", end="", file=out, flush=True)
-        line = stdin.readline()
+        try:
+            line = stdin.readline()
+        except KeyboardInterrupt:
+            buffer = ""  # drop the statement being typed, keep the session
+            print("cancelled", file=out)
+            continue
         if not line:
             break
         if line.strip().startswith("\\"):

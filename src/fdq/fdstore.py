@@ -149,8 +149,7 @@ def _parse_fdml_atom(ts: TokenStream):
         ts.expect_kw("LIKE")
         return RhsLike(parse_set_expr(ts))
     if ts.accept_kw("ERROR"):
-        num = ts.expect_number()
-        return ErrorLeq(float(num.value))
+        return ErrorLeq(ts.expect_bound())
     raise ts.error("expected LHS, RHS, ERROR, or a parenthesized condition")
 
 

@@ -449,7 +449,7 @@ def parse_minefd(text: str) -> MinefdStatement:
     table = ts.expect_ident("a table name")
     threshold = 0.0
     if ts.accept_kw("ERROR"):
-        threshold = float(ts.expect_number().value)
+        threshold = ts.expect_bound()
     ts.expect_end()
     return MinefdStatement(
         name=name,

@@ -171,8 +171,7 @@ def _parse_fd_body(ts: TokenStream, allow_on: bool, allow_error: bool, op: str):
             ts.expect_punct("<=")
         else:
             ts.expect_punct("=")
-        tok = ts.expect_number()
-        error = float(tok.value)
+        error = ts.expect_bound()
     ts.expect_punct(")")
     return lhs, rhs, on, error
 
@@ -221,13 +220,20 @@ def _parse_where_item(ts: TokenStream):
 
 
 def _negate_where(ts: TokenStream, inner):
-    """NOT over a where item: flip dependency predicates, wrap row trees."""
+    """NOT over a where item: flip dependency predicates, wrap row trees.
+
+    A group made of dependency predicates alone flips by De Morgan, so the
+    NOT of a multi-dependent HOLDS (an AND) is the OR of its NOT HOLDS.
+    """
     if isinstance(inner, FdPredicate):
         if inner.kind == "holds" and inner.error is None:
             return FdPredicate("not_holds", inner.lhs, inner.rhs, on=inner.on)
         if inner.kind == "not_holds":
             return FdPredicate("holds", inner.lhs, inner.rhs, on=inner.on)
         raise ts.error("only exact HOLDS / NOT HOLDS can be negated")
+    if all(isinstance(node, (And, Or, FdPredicate)) for node in walk(inner)):
+        flipped = tuple(_negate_where(ts, item) for item in inner.items)
+        return Or(flipped) if isinstance(inner, And) else And(flipped)
     if any(isinstance(node, FdPredicate) for node in walk(inner)):
         raise ts.error("NOT cannot wrap a group containing dependency predicates")
     return Not(inner)
@@ -256,7 +262,7 @@ def parse_extended_select(text: str) -> ExtendedSelect:
         if ts.accept_punct(","):
             ts.expect_kw("ERROR")
             ts.expect_punct("=")
-            error = float(ts.expect_number().value)
+            error = ts.expect_bound()
         ts.expect_punct(")")
         projection = DependentProjection(attrs, error)
     else:
@@ -380,33 +386,65 @@ def eval_not_holds(
     return violating_rows(relation, lhs_idx, rhs_idx, scope)
 
 
-def _levenshtein(a: str, b: str) -> int:
+def _levenshtein(a: str, b: str, k: int) -> int:
+    """Edit distance of a and b when it is at most k, otherwise k + 1.
+
+    Only cells within k of the diagonal are filled, since a cell further
+    off needs more than k edits, and the scan stops once every cell of a
+    row exceeds k, since no later row can go back below it (Ukkonen,
+    "Algorithms for approximate string matching", 1985).
+    """
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (ca != cb),
-                )
-            )
+    n, p = len(a), len(b)
+    over = k + 1
+    previous = list(range(p + 1))
+    for i in range(1, n + 1):
+        ca = a[i - 1]
+        lo = max(1, i - k)
+        hi = min(p, i + k)
+        current = [over] * (p + 1)
+        if i <= k:
+            current[0] = i
+        left = best = current[lo - 1]
+        for j in range(lo, hi + 1):
+            x = previous[j - 1] + (ca != b[j - 1])
+            if previous[j] + 1 < x:
+                x = previous[j] + 1
+            if left + 1 < x:
+                x = left + 1
+            if x < best:
+                best = x
+            current[j] = left = x
+        if best > k:
+            return over
         previous = current
-    return previous[len(b)]
+    return min(previous[p], over)
 
 
-def value_distance(a: Value, b: Value, kind: str) -> float:
+def value_distance(
+    a: Value, b: Value, kind: str, threshold: float | None = None
+) -> float:
     """Normalized distance in [0, 1]: edit distance for text, relative
-    difference for numbers."""
+    difference for numbers.
+
+    With a threshold, a text distance is exact up to k = floor(threshold *
+    m) + 1 edits, m the longer length; past k the result is a lower bound
+    that still compares greater than the threshold. Without one it is
+    always exact.
+    """
     if a is None or b is None:
         raise ContractError("distance over null is undefined")
     if kind == "text":
         if a == b:
             return 0.0
-        return _levenshtein(a, b) / max(len(a), len(b), 1)
+        m = max(len(a), len(b), 1)
+        # a bound of 1 or more admits every distance, so k is m, the largest
+        # one; that also keeps threshold * m from overflowing
+        k = m if threshold is None or threshold >= 1 else int(threshold * m) + 1
+        if abs(len(a) - len(b)) > k:
+            return (k + 1) / m  # every alignment needs the length gap in edits
+        return _levenshtein(a, b, k) / m
     fa, fb = float(a), float(b)
     if fa == fb:
         return 0.0
@@ -432,20 +470,31 @@ def eval_violates(
     if threshold < 0:
         raise ParameterError(f"distance threshold {threshold} is negative")
     suspect_meta = relation.attribute(suspect)
+    kind = suspect_meta.kind
     group_attrs = [
         relation.attribute(a).index for a in lhs if a != suspect
     ] + [relation.attribute(rhs).index]
     rows = relation.rows
     result: set[int] = set()
     for group in grouped(relation, group_attrs).values():
-        values = {rows[i][suspect_meta.index] for i in group} - {None}
+        # distinct values in row order, so the distances computed before
+        # the first close sibling is found do not depend on string hashing
+        values = [
+            v
+            for v in dict.fromkeys(rows[i][suspect_meta.index] for i in group)
+            if v is not None
+        ]
         if len(values) < 2:
             continue
-        close: set[Value] = set()
-        for v in values:
-            others = values - {v}
-            if min(value_distance(v, o, suspect_meta.kind) for o in others) <= threshold:
-                close.add(v)
+        close = {
+            v
+            for v in values
+            if any(
+                value_distance(v, o, kind, threshold) <= threshold
+                for o in values
+                if o != v
+            )
+        }
         result.update(
             i for i in group if rows[i][suspect_meta.index] in close
         )

@@ -10,6 +10,7 @@ everything else Decimal.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -148,6 +149,15 @@ class TokenStream:
         if tok.kind != "number":
             raise self.error(f"expected a number, found {tok.text or 'end of input'!r}")
         return self.advance()
+
+    def expect_bound(self) -> float:
+        """A number read as a float bound. One past the float range would
+        print as `inf`, which does not parse back, so it is rejected."""
+        tok = self.expect_number()
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise self.error(f"bound {tok.text} is too large for a float", tok)
+        return value
 
     def expect_end(self) -> None:
         tok = self.peek()

@@ -556,6 +556,54 @@ class TestScriptsAndRepl:
         assert run_repl(fresh_session(data_dir), stdin=stdin, out=sink) == 0
         assert "(10 rows)" in sink.getvalue()
 
+    def test_repl_interrupt_cancels_the_statement_not_the_session(
+        self, data_dir, monkeypatch
+    ):
+        import fdq.cli as cli_module
+
+        real = cli_module.run_command
+        interrupts = []
+
+        def interrupt_first_select(session, line):
+            if line.startswith("SELECT") and not interrupts:
+                interrupts.append(line)
+                raise KeyboardInterrupt
+            return real(session, line)
+
+        monkeypatch.setattr(cli_module, "run_command", interrupt_first_select)
+        sink = io.StringIO()
+        stdin = io.StringIO(
+            "LOAD 'iowa.csv' AS IOWA;\n"
+            'SELECT "Pack" FROM IOWA;\n'
+            'SELECT "Address" FROM IOWA WHERE ["Zip" = 52001];\n'
+        )
+        assert run_repl(fresh_session(data_dir), stdin=stdin, out=sink) == 0
+        lines = sink.getvalue().splitlines()
+        assert lines[:2] == ["loaded IOWA: 10 rows, 11 attributes", "cancelled"]
+        assert lines[-1] == "(2 rows)"  # IOWA survived the cancelled statement
+
+    def test_repl_interrupt_while_reading_drops_the_pending_statement(self, data_dir):
+        class InterruptedStdin:
+            lines = [
+                "LOAD 'iowa.csv' AS IOWA;\n",
+                'SELECT "Pack"\n',
+                None,  # Ctrl-C half way through the statement
+                'SELECT "Address" FROM IOWA WHERE ["Zip" = 52001];\n',
+            ]
+
+            def readline(self):
+                line = self.lines.pop(0) if self.lines else ""
+                if line is None:
+                    raise KeyboardInterrupt
+                return line
+
+        sink = io.StringIO()
+        assert run_repl(fresh_session(data_dir), stdin=InterruptedStdin(), out=sink) == 0
+        lines = sink.getvalue().splitlines()
+        assert lines[:2] == ["loaded IOWA: 10 rows, 11 attributes", "cancelled"]
+        assert lines[2] == "Address"
+        assert lines[-1] == "(2 rows)"
+
 
 class TestMain:
     def test_exec_command(self, data_dir, capsys):
@@ -624,6 +672,51 @@ class TestMain:
         assert main(["exec", "-c", statement]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            'SELECT * FROM IOWA WHERE HOLDS ("Zip" -> "Pack", ERROR = 1e400)',
+            'EXPLAIN SELECT * FROM IOWA WHERE HOLDS ("Zip" -> "Pack", ERROR = 1e400)',
+            'SELECT * FROM IOWA WHERE "Address" VIOLATES '
+            '("Address" -> "Zip", ERROR <= 1e400)',
+            'SELECT DEPENDENT (["Zip"], ERROR = 1e400) FROM IOWA',
+            "SELECTDEP * FROM fs WHERE ERROR 1e400",
+            "MINEFD fs AS SELECT LHS -> RHS FROM IOWA ERROR 1e400",
+            'SELECT * FROM IOWA WHERE HOLDS ("Zip" -> "Pack", ERROR = 1' + "0" * 400 + ")",
+        ],
+        ids=["holds", "explain", "violates", "dependent", "selectdep", "minefd",
+             "integer"],
+    )
+    def test_bound_past_the_float_range_is_a_user_error(
+        self, data_dir, capsys, statement
+    ):
+        # such a bound would print as `inf`, which does not parse back
+        code = main(
+            [
+                "exec", "--data-dir", str(data_dir),
+                "-c", f"LOAD 'iowa.csv' AS IOWA; MINEFD fs AS SELECT LHS -> RHS "
+                f"FROM IOWA; {statement};",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "too large" in err
+
+    def test_violates_bound_past_one_flags_every_sibling(self, data_dir, capsys):
+        outputs = []
+        for bound in ("1.0", "1e308"):
+            code = main(
+                [
+                    "exec", "--data-dir", str(data_dir),
+                    "-c", "LOAD 'iowa.csv' AS IOWA; SELECT * FROM IOWA WHERE "
+                    f'"Address" VIOLATES ("Address" -> "Zip", ERROR <= {bound});',
+                ]
+            )
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].rstrip().endswith("(4 rows)")
 
     def test_exec_user_error_is_code_1(self, capsys):
         assert main(["exec", "-c", "SELECT * FROM NOPE;"]) == 1

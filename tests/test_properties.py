@@ -3,9 +3,11 @@ statements. Every law here is one the rest of the suite relies on pointwise;
 the generators shake out the shapes the golden tests do not reach."""
 
 from decimal import Decimal
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import fdq.query
 from fdq.fdstore import (
     ErrorLeq,
     FDEntry,
@@ -45,6 +47,7 @@ from fdq.query import (
     parse_extended_select,
     select_to_text,
     tableau_match_rows,
+    value_distance,
 )
 from fdq.relation import And, Comparison, Not, Or, Relation, eval_row_predicate
 from fdq.setexpr import AllOf, AnyOf, Combine, GlobList, Star
@@ -331,6 +334,103 @@ def test_violates_stays_inside_conflicted_groups(case):
         } - {None}
         assert len(values) >= 2
         assert relation.rows[i][suspect_idx] is not None
+
+
+def full_levenshtein(a, b):
+    """The whole edit-distance table, row by row: the oracle for the
+    banded kernel in fdq.query."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(
+                    previous[j] + 1,
+                    current[j - 1] + 1,
+                    previous[j - 1] + (ca != cb),
+                )
+            )
+        previous = current
+    return previous[len(b)]
+
+
+def full_distance(a, b, kind):
+    if kind == "text":
+        return full_levenshtein(a, b) / max(len(a), len(b), 1)
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+DISTANCE_BOUNDS = (0.0, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.75, 0.999, 1.0, 2.0, 1e308)
+short_texts = st.text(alphabet="abé漢", max_size=13)
+
+
+@st.composite
+def texts_and_bounds(draw):
+    a, b = draw(short_texts), draw(short_texts)
+    m = max(len(a), len(b), 1)
+    # j / m puts bound * m on an integer, where the band edge sits
+    bound = draw(
+        st.sampled_from(DISTANCE_BOUNDS) | st.integers(0, m).map(lambda j: j / m)
+    )
+    return a, b, bound
+
+
+@common
+@given(texts_and_bounds())
+@example(("abcde", "abxde", 0.2))  # 0.2 * 5 == 1, one edit
+@example(("abcde", "axyde", 0.2))  # two edits, one past the bound
+@example(("abcdefgh", "abxyefgh", 0.25))  # 0.25 * 8 == 2
+@example(("", "abc", 0.5))  # a length gap of 3 beyond k = 2
+@example(("ab", "", 0.0))
+# 15/22 * 22 rounds to just below 15, and a distance of 16 sits past it:
+# a band of width floor(bound * m) without the extra edit calls it close
+@example(("a" * 22, "b" * 16 + "a" * 6, 15 / 22))
+def test_banded_distance_decides_like_the_full_one(case):
+    a, b, bound = case
+    m = max(len(a), len(b), 1)
+    exact = full_levenshtein(a, b) / m
+    with mock.patch.object(
+        fdq.query, "_levenshtein", wraps=fdq.query._levenshtein
+    ) as kernel:
+        got = value_distance(a, b, "text", bound)
+    assert (got <= bound) == (exact <= bound)
+    assert got == exact or got > bound
+    k = m if bound >= 1 else min(int(bound * m) + 1, m)
+    if abs(len(a) - len(b)) > k:
+        assert not kernel.called  # the length gap alone decides
+    assert value_distance(a, b, "text") == exact
+
+
+@st.composite
+def suspect_relations(draw):
+    kind = draw(st.sampled_from(["text", "integer"]))
+    values = st.text(alphabet="abé", max_size=6) if kind == "text" else st.integers(0, 9)
+    rows = draw(
+        st.lists(
+            st.tuples(st.none() | values, st.integers(0, 2), st.integers(0, 1)),
+            max_size=14,
+        )
+    )
+    return Relation.build("t", [("S", kind), ("G", "integer"), ("R", "integer")], rows)
+
+
+@common
+@given(suspect_relations(), st.sampled_from((0.0, 0.2, 0.5, 1.0, 1e308)))
+def test_violates_equals_the_minimum_over_full_distances(relation, threshold):
+    kind = relation.attribute("S").kind
+    groups = {}
+    for i, (_, g, r) in enumerate(relation.rows):
+        groups.setdefault((g, r), []).append(i)
+    expected = set()
+    for group in groups.values():
+        values = {relation.rows[i][0] for i in group} - {None}
+        for v in values:
+            others = values - {v}
+            if others and min(full_distance(v, o, kind) for o in others) <= threshold:
+                expected.update(i for i in group if relation.rows[i][0] == v)
+    assert eval_violates(relation, "S", ["S", "G"], "R", threshold) == expected
 
 
 @common

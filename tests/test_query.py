@@ -1,7 +1,9 @@
+import random
 from decimal import Decimal
 
 import pytest
 
+import fdq.query
 from fdq.errors import (
     ContractError,
     KindMismatchError,
@@ -170,6 +172,27 @@ class TestParse:
         with pytest.raises(ParseError, match="exact"):
             parse_extended_select(
                 'SELECT * FROM IOWA WHERE NOT (HOLDS ("A" -> "B", ERROR = 0.1))'
+            )
+
+    @pytest.mark.parametrize(
+        "negated, direct",
+        [
+            ('NOT (HOLDS ("Zip" -> "Pack", "Category"))',
+             'NOT HOLDS ("Zip" -> "Pack", "Category")'),
+            ('NOT (NOT HOLDS ("Zip" -> "Pack", "Category"))',
+             'HOLDS ("Zip" -> "Pack", "Category")'),
+        ],
+        ids=["holds", "not-holds"],
+    )
+    def test_not_over_multi_rhs_predicate_is_de_morgan(self, negated, direct):
+        # the fan-out's AND flips into an OR of the flipped predicates, and back
+        ast = parse_extended_select(f"SELECT * FROM IOWA WHERE {negated}")
+        assert ast == parse_extended_select(f"SELECT * FROM IOWA WHERE {direct}")
+
+    def test_not_over_multi_rhs_approximate_holds_is_rejected(self):
+        with pytest.raises(ParseError, match="exact"):
+            parse_extended_select(
+                'SELECT * FROM IOWA WHERE NOT (HOLDS ("A" -> "B", "C", ERROR = 0.1))'
             )
 
     def test_not_over_mixed_group_is_rejected(self):
@@ -366,6 +389,36 @@ class TestEvalViolates:
         r = rel(["a", "b"], [("abcd", "1"), ("abce", "1"), ("zzzzzzzz", "1")])
         assert eval_violates(r, "a", ["a"], "b", threshold=0.3) == {0, 1}
 
+    def test_distance_calls_are_pinned(self, monkeypatch):
+        # a deterministic work counter: a value stops being scored at its
+        # first close sibling, so going back to the minimum over every
+        # sibling (one call per ordered pair) fails here, not on a stopwatch
+        rng = random.Random(6)
+        streets = ["ELM ST", "OAK AVE", "MAPLE DR", "HWY 71", "PINE CT", "MAIN ST"]
+        rows = []
+        for _ in range(120):
+            street = rng.choice(streets)
+            if rng.random() < 0.2:
+                at = rng.randrange(len(street))
+                street = street[:at] + rng.choice("XYZ") + street[at + 1:]
+            rows.append((street, str(rng.randrange(4))))
+        r = rel(["a", "b"], rows)
+        calls = []
+        real = fdq.query.value_distance
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(fdq.query, "value_distance", counting)
+        found = eval_violates(r, "a", ["a"], "b", threshold=0.2)
+        siblings = [
+            len({a for a, b in rows if b == zip_}) for zip_ in {b for _, b in rows}
+        ]
+        assert len(found) == 78
+        assert len(calls) == 279
+        assert len(calls) < sum(n * (n - 1) for n in siblings)
+
     def test_suspect_must_be_in_lhs(self, iowa):
         with pytest.raises(ContractError):
             eval_violates(iowa, "Zip", ["Address"], "Zip")
@@ -507,6 +560,15 @@ class TestExecute:
         witnesses = self.run('SELECT "A" FROM t WHERE NOT HOLDS ("A" -> "B", "C")', t)
         assert holds.rows == (("3",),)
         assert witnesses.rows == (("1",), ("1",), ("2",), ("2",))
+
+    def test_not_over_multi_rhs_holds_returns_the_not_holds_rows(self, iowa):
+        negated = self.run(
+            'SELECT "Zip" FROM IOWA WHERE NOT (HOLDS ("Address" -> "Zip", "Pack"))', iowa
+        )
+        direct = self.run(
+            'SELECT "Zip" FROM IOWA WHERE NOT HOLDS ("Address" -> "Zip", "Pack")', iowa
+        )
+        assert negated.rows == direct.rows == ((51333,), (51331,))
 
     def test_empty_result(self, iowa):
         out = self.run('SELECT * FROM IOWA WHERE ["Pack" = 999]', iowa)
