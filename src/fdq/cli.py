@@ -23,7 +23,16 @@ from .errors import (
     NameResolutionError,
     ParseError,
 )
-from .fdstore import FDEntry, FDSet, diff_fdsets, eval_fdml, import_fdset, parse_fdml, save_fdset
+from .fdstore import (
+    FDEntry,
+    FDSet,
+    FdmlQuery,
+    diff_fdsets,
+    eval_fdml,
+    import_fdset,
+    parse_fdml,
+    save_fdset,
+)
 from .miner import execute_minefd, parse_minefd
 from .query import (
     FdPredicate,
@@ -133,26 +142,16 @@ def _render_records(table: ResultTable) -> str:
     return "\n\n".join(blocks)
 
 
-def _fdset_table(fdset: FDSet, show_error: bool) -> ResultTable:
-    if show_error or any(e.error > 0 for e in fdset.entries):
-        return ResultTable(
-            ("lhs", "rhs", "error"),
-            tuple((", ".join(e.lhs), e.rhs, e.error) for e in fdset.entries),
-        )
-    return ResultTable(
-        ("lhs", "rhs"),
-        tuple((", ".join(e.lhs), e.rhs) for e in fdset.entries),
-    )
-
-
 # --- statement splitting ----------------------------------------------------------
 
-def split_statements(text: str) -> list[str]:
-    """Cut a script into statements.
+def read_statements(text: str) -> tuple[list[str], str]:
+    """Cut text into the statements it completes and the unterminated rest.
 
-    Semicolons separate statements outside quotes; `--` starts a comment
+    Semicolons end statements outside quotes; `--` starts a comment
     outside quotes; a line whose first non-blank character is a backslash
-    is a statement of its own. A final unterminated statement counts.
+    is a statement of its own. The rest keeps its line breaks, without
+    comments, so appending more lines and reading again continues it; it
+    is empty when only blanks and comments follow the last statement.
     """
     statements: list[str] = []
     buf: list[str] = []
@@ -186,8 +185,15 @@ def split_statements(text: str) -> list[str]:
                 buf.append(ch)
                 i += 1
         buf.append("\n")
-    flush()
-    return statements
+    rest = "".join(buf)
+    return statements, rest if rest.strip() else ""
+
+
+def split_statements(text: str) -> list[str]:
+    """Cut a script into statements, as `read_statements` does; a final
+    unterminated statement counts."""
+    statements, rest = read_statements(text)
+    return statements + [rest.strip()] if rest else statements
 
 
 # --- statement handlers ------------------------------------------------------------
@@ -235,7 +241,9 @@ def _run_minefd(session: Session, line: str) -> str:
     )
     session.fdsets[statement.name] = fdset
     header = f"fdset {statement.name}: {len(fdset.entries)} dependencies"
-    body = render(_fdset_table(fdset, statement.show_error), session.output_mode)
+    with_error = statement.show_error or any(e.error > 0 for e in fdset.entries)
+    echo = FdmlQuery("star" if with_error else "pairs", statement.name)
+    body = render(eval_fdml(echo, fdset), session.output_mode)
     return f"{header}\n{body}"
 
 
@@ -263,8 +271,8 @@ def _run_select(session: Session, line: str) -> str:
 
 
 def _run_explain(session: Session, line: str) -> str:
-    rest = re.sub(r"^\s*EXPLAIN\b\s*", "", line, flags=re.IGNORECASE)
-    ast = parse_extended_select(rest)
+    # blank the keyword rather than cut it, so error columns match the input
+    ast = parse_extended_select(" " * len("EXPLAIN") + line[len("EXPLAIN") :])
     _get_relation(session, ast.source)
     lines = [f"statement: {select_to_text(ast)}"]
     preds = [node for node in walk(ast.where) if isinstance(node, FdPredicate)]
@@ -479,28 +487,13 @@ def run_repl(session: Session, stdin=None, out=None) -> int:
             continue
         if not line:
             break
-        if line.strip().startswith("\\"):
-            if not run_one(line.strip()):
-                return 0
-            continue
-        buffer += line
-        if ";" not in _strip_quoted(line):
-            continue
-        statements = split_statements(buffer)
-        buffer = ""
-        if statements and not line.rstrip().endswith(";"):
-            buffer = statements.pop() + "\n"  # tail still lacks its terminator
+        statements, buffer = read_statements(buffer + line)
         for statement in statements:
             if not run_one(statement):
                 return 0
-    for statement in split_statements(buffer):
-        if not run_one(statement):
-            return 0
+    if buffer:
+        run_one(buffer)  # the last statement may lack its ';'
     return 0
-
-
-def _strip_quoted(line: str) -> str:
-    return re.sub(r"'[^']*'|\"[^\"]*\"", "", line)
 
 
 def build_session(args) -> Session:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -25,7 +26,14 @@ from .errors import (
     ParseError,
     UnsupportedOperationError,
 )
-from .relation import COMPARISON_OPS, And, Or, condition_to_text, parse_and_or
+from .relation import (
+    COMPARISON_OPS,
+    And,
+    Or,
+    condition_to_text,
+    eval_condition,
+    parse_and_or,
+)
 from .result import ResultTable
 from .setexpr import (
     SetExpr,
@@ -221,24 +229,22 @@ def fdml_to_text(query: FdmlQuery) -> str:
     return text
 
 
-def _entry_matches(node, entry: FDEntry, schema: Sequence[str]) -> bool:
+def _admitted(node, entries: Sequence[FDEntry], schema: Sequence[str]) -> set[int]:
+    """Indexes of the entries one condition atom admits. A LIKE atom
+    expands its set expression once, whatever the number of entries."""
     if isinstance(node, LhsLike):
-        lhs = set(entry.lhs)
-        return any(alt <= lhs for alt in eval_subset_expr(node.expr, schema))
+        alts = eval_subset_expr(node.expr, schema)
+        return {
+            i for i, e in enumerate(entries)
+            if any(alt.issubset(e.lhs) for alt in alts)
+        }
     if isinstance(node, RhsLike):
-        return any(entry.rhs in alt for alt in eval_subset_expr(node.expr, schema))
+        names = set().union(*eval_subset_expr(node.expr, schema))
+        return {i for i, e in enumerate(entries) if e.rhs in names}
     if isinstance(node, LhsLength):
-        return node.admits(len(entry.lhs))
+        return {i for i, e in enumerate(entries) if node.admits(len(e.lhs))}
     if isinstance(node, ErrorLeq):
-        return entry.error <= node.threshold
-    if isinstance(node, (And, Or)):
-        # Or stops at the first match, And at the first miss; a loop rather
-        # than any()/all() keeps one stack frame per level, fewer than parsing
-        decisive = isinstance(node, Or)
-        for item in node.items:
-            if _entry_matches(item, entry, schema) is decisive:
-                return decisive
-        return not decisive
+        return {i for i, e in enumerate(entries) if e.error <= node.threshold}
     raise TypeError(f"not a condition node: {node!r}")
 
 
@@ -253,12 +259,13 @@ def eval_fdml(
     Output rows are sorted by (lhs size, lhs names, rhs) and the lhs cell
     joins its attributes with a comma.
     """
-    names = list(schema) if schema is not None else fdset.attribute_universe()
-    hits = [
-        e for e in fdset.entries
-        if query.where is None or _entry_matches(query.where, e, names)
-    ]
-    hits.sort(key=canonical_key)
+    entries = fdset.entries
+    kept = range(len(entries))
+    if query.where is not None:
+        names = list(schema) if schema is not None else fdset.attribute_universe()
+        leaf = partial(_admitted, entries=entries, schema=names)
+        kept = eval_condition(query.where, leaf, kept)
+    hits = sorted((entries[i] for i in kept), key=canonical_key)
     if query.projection == "pairs":
         columns = ("lhs", "rhs")
         rows = tuple((", ".join(e.lhs), e.rhs) for e in hits)
@@ -441,11 +448,8 @@ def load_fdset(path) -> FDSet:
 def import_fdset(path, name: str | None = None) -> FDSet:
     """Load a file produced elsewhere: every entry is stamped as imported."""
     fdset = load_fdset(path)
-    entries = tuple(replace(e, origin=IMPORTED) for e in fdset.entries)
-    return FDSet(
+    return replace(
+        fdset,
         name=name if name is not None else fdset.name,
-        table_binding=fdset.table_binding,
-        table_fingerprint=fdset.table_fingerprint,
-        entries=entries,
-        mined_at=fdset.mined_at,
+        entries=tuple(replace(e, origin=IMPORTED) for e in fdset.entries),
     )

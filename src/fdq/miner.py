@@ -19,7 +19,7 @@ path at small scale (intended for relations up to about 10 attributes).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -480,10 +480,4 @@ def execute_minefd(
     if all(op in {"<=", "<"} for op, _ in statement.length_bounds):
         return mined
     kept = tuple(e for e in mined.entries if statement.keeps_length(len(e.lhs)))
-    return FDSet(
-        name=mined.name,
-        table_binding=mined.table_binding,
-        table_fingerprint=mined.table_fingerprint,
-        entries=kept,
-        mined_at=mined.mined_at,
-    )
+    return replace(mined, entries=kept)

@@ -11,6 +11,7 @@ those row sets with plain filters using ordinary set algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from decimal import Decimal
 from typing import Sequence, Union
 
@@ -29,13 +30,14 @@ from .relation import (
     check_comparable,
     compare_values,
     condition_to_text,
+    eval_condition,
     eval_row_predicate,
     parse_and_or,
     parse_operand,
     walk,
 )
 from .result import ResultTable
-from .tokens import TokenStream, is_kw, statement_parser
+from .tokens import Token, TokenStream, is_kw, statement_parser
 
 DEFAULT_VIOLATION_THRESHOLD = 0.75
 
@@ -199,7 +201,7 @@ def _parse_where_item(ts: TokenStream):
             return _fan_out("not_holds", lhs, rhs, on, None)
         ts.advance()
         inner = parse_operand(ts, _parse_where_item)
-        return _negate_where(ts, inner)
+        return _negate_where(ts, tok, inner)
     if is_kw(tok, "HOLDS"):
         ts.advance()
         lhs, rhs, on, error = _parse_fd_body(ts, allow_on=True, allow_error=True, op="=")
@@ -219,23 +221,26 @@ def _parse_where_item(ts: TokenStream):
     raise ts.error("expected a predicate or a comparison")
 
 
-def _negate_where(ts: TokenStream, inner):
+def _negate_where(ts: TokenStream, not_tok: Token, inner):
     """NOT over a where item: flip dependency predicates, wrap row trees.
 
     A group made of dependency predicates alone flips by De Morgan, so the
-    NOT of a multi-dependent HOLDS (an AND) is the OR of its NOT HOLDS.
+    NOT of a multi-dependent HOLDS (an AND) is the OR of its NOT HOLDS. A
+    NOT that cannot apply is reported at `not_tok`.
     """
     if isinstance(inner, FdPredicate):
         if inner.kind == "holds" and inner.error is None:
             return FdPredicate("not_holds", inner.lhs, inner.rhs, on=inner.on)
         if inner.kind == "not_holds":
             return FdPredicate("holds", inner.lhs, inner.rhs, on=inner.on)
-        raise ts.error("only exact HOLDS / NOT HOLDS can be negated")
+        raise ts.error("only exact HOLDS / NOT HOLDS can be negated", not_tok)
     if all(isinstance(node, (And, Or, FdPredicate)) for node in walk(inner)):
-        flipped = tuple(_negate_where(ts, item) for item in inner.items)
+        flipped = tuple(_negate_where(ts, not_tok, item) for item in inner.items)
         return Or(flipped) if isinstance(inner, And) else And(flipped)
     if any(isinstance(node, FdPredicate) for node in walk(inner)):
-        raise ts.error("NOT cannot wrap a group containing dependency predicates")
+        raise ts.error(
+            "NOT cannot wrap a group containing dependency predicates", not_tok
+        )
     return Not(inner)
 
 
@@ -426,7 +431,7 @@ def value_distance(
     a: Value, b: Value, kind: str, threshold: float | None = None
 ) -> float:
     """Normalized distance in [0, 1]: edit distance for text, relative
-    difference for numbers.
+    difference for numbers, capped at 1.
 
     With a threshold, a text distance is exact up to k = floor(threshold *
     m) + 1 edits, m the longer length; past k the result is a lower bound
@@ -448,7 +453,8 @@ def value_distance(
     fa, fb = float(a), float(b)
     if fa == fb:
         return 0.0
-    return abs(fa - fb) / max(abs(fa), abs(fb))
+    # values of opposite sign differ by more than the larger magnitude
+    return min(1.0, abs(fa - fb) / max(abs(fa), abs(fb)))
 
 
 def eval_violates(
@@ -539,8 +545,7 @@ def eval_dependent(
     return [relation.schema[a].name for a in qualifying]
 
 
-def _eval_where(relation: Relation, node) -> set[int]:
-    everything = set(range(relation.row_count))
+def _where_leaf_rows(relation: Relation, node) -> set[int]:
     if isinstance(node, Comparison):
         return eval_row_predicate(relation, node)
     if isinstance(node, FdPredicate):
@@ -556,18 +561,6 @@ def _eval_where(relation: Relation, node) -> set[int]:
                 relation, node.suspect, node.lhs, node.rhs, threshold
             )
         raise ContractError(f"unknown predicate kind {node.kind!r}")
-    if isinstance(node, And):
-        result = everything
-        for item in node.items:
-            result &= _eval_where(relation, item)
-        return result
-    if isinstance(node, Or):
-        result: set[int] = set()
-        for item in node.items:
-            result |= _eval_where(relation, item)
-        return result
-    if isinstance(node, Not):
-        return everything - _eval_where(relation, node.item)
     raise TypeError(f"not a where node: {node!r}")
 
 
@@ -578,10 +571,10 @@ def execute(ast: ExtendedSelect, relation: Relation) -> ResultTable:
     the WHERE tree is pure set algebra over the resulting row sets, so
     predicate order never matters. Output rows keep the table's row order.
     """
-    if ast.where is None:
-        kept = list(range(relation.row_count))
-    else:
-        kept = sorted(_eval_where(relation, ast.where))
+    kept = range(relation.row_count)
+    if ast.where is not None:
+        leaf = partial(_where_leaf_rows, relation)
+        kept = sorted(eval_condition(ast.where, leaf, kept))
     projection = ast.projection
     if isinstance(projection, StarProjection):
         names = list(relation.attribute_names)

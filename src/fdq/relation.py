@@ -292,7 +292,8 @@ TRUE = And(())
 
 
 # Row conditions, the SELECT WHERE tree, SELECTDEP and MINEFD conditions all
-# build And/Or/Not trees over their own leaves with the functions below.
+# build, print and evaluate And/Or/Not trees over their own leaves with the
+# functions below.
 
 def _joined(node, items: list):
     return items[0] if len(items) == 1 else node(tuple(items))
@@ -349,6 +350,26 @@ def condition_to_text(node, leaf_text) -> str:
     return (" AND " if isinstance(node, And) else " OR ").join(parts)
 
 
+def eval_condition(node, leaf, universe: Iterable) -> set:
+    """Fold an And/Or/Not tree into a set: `leaf(node)` gives the members
+    each leaf admits, And intersects, Or unites, and Not complements within
+    `universe`. Leaf sets are read, never changed. It takes one stack frame
+    per level, fewer than parsing takes, so any tree that parsed evaluates."""
+    if isinstance(node, And):
+        result = set(universe)
+        for item in node.items:
+            result &= eval_condition(item, leaf, universe)
+        return result
+    if isinstance(node, Or):
+        result = set()
+        for item in node.items:
+            result |= eval_condition(item, leaf, universe)
+        return result
+    if isinstance(node, Not):
+        return set(universe).difference(eval_condition(node.item, leaf, universe))
+    return leaf(node)
+
+
 COMPARISON_OPS = {
     "=": operator.eq,
     "!=": operator.ne,
@@ -391,27 +412,18 @@ def eval_row_predicate(relation: Relation, predicate: RowPredicate) -> set[int]:
     int and Decimal. NOT complements within the relation's row set, so
     rows carrying nulls in the tested attribute satisfy NOT(atom).
     """
-    n = relation.row_count
-    if isinstance(predicate, Comparison):
-        meta = relation.attribute(predicate.attribute)
-        check_comparable(meta.kind, predicate.constant)
-        idx, op, const = meta.index, predicate.op, predicate.constant
+
+    def comparison_rows(node) -> set[int]:
+        if not isinstance(node, Comparison):
+            raise TypeError(f"not a row predicate node: {node!r}")
+        meta = relation.attribute(node.attribute)
+        check_comparable(meta.kind, node.constant)
+        idx, op, const = meta.index, node.op, node.constant
         if op not in COMPARISON_OPS:
             raise KindMismatchError(f"unknown operator {op!r}")
         return {
             i for i, row in enumerate(relation.rows)
             if compare_values(row[idx], op, const)
         }
-    if isinstance(predicate, And):
-        result = set(range(n))
-        for item in predicate.items:
-            result &= eval_row_predicate(relation, item)
-        return result
-    if isinstance(predicate, Or):
-        result: set[int] = set()
-        for item in predicate.items:
-            result |= eval_row_predicate(relation, item)
-        return result
-    if isinstance(predicate, Not):
-        return set(range(n)) - eval_row_predicate(relation, predicate.item)
-    raise TypeError(f"not a row predicate node: {predicate!r}")
+
+    return eval_condition(predicate, comparison_rows, range(relation.row_count))

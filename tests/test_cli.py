@@ -24,6 +24,7 @@ from fdq.fdstore import load_fdset
 from fdq.result import ResultTable
 
 FIXED_CLOCK = "2026-01-01T00:00:00Z"
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # rebuilt per Listing-style exploration scripts: mine everything exact,
 # then pick determinant families by glob
@@ -489,6 +490,14 @@ class TestExplain:
         )
         assert out.endswith("note: plain row filters only")
 
+    def test_error_column_counts_from_the_typed_statement(self, data_dir):
+        session = fresh_session(data_dir)
+        run(session, "LOAD 'iowa.csv' AS IOWA")
+        statement = 'EXPLAIN SELECT * FROM IOWA WHERE HOLDS ("Zip" -> "Pack" FOO)'
+        with pytest.raises(ParseError, match="^col 57: ") as info:
+            run_command(session, statement)
+        assert info.value.pos == statement.index("FOO") + 1
+
 
 class TestScriptsAndRepl:
     SCRIPT = (
@@ -513,6 +522,40 @@ class TestScriptsAndRepl:
             assert code == 0
             transcripts.append(sink.getvalue())
         assert transcripts[0] == transcripts[1]
+
+    # a ';' inside a comment ends nothing, and a comment after a ';' leaves
+    # the statement before it complete, in a script and at the prompt alike
+    INLINE = {
+        "comment-semicolon": (
+            "LOAD 'iowa.csv' AS IOWA;\n"
+            'SELECT "Zip" FROM IOWA -- only pack 12;\n'
+            'WHERE ["Pack" = 12];\n',
+            "(9 rows)",
+        ),
+        "comment-after-semicolon": (
+            "LOAD 'iowa.csv' AS IOWA; -- the fixture\n"
+            'SELECT "Pack" FROM IOWA WHERE ["Pack" = 6];\n',
+            "(1 row)",
+        ),
+    }
+
+    @pytest.mark.parametrize("script", ["explore", "repair", *INLINE])
+    def test_exec_and_repl_print_the_same_transcript(
+        self, script, data_dir, tmp_path, capsys
+    ):
+        if script in self.INLINE:
+            (text, last), base = self.INLINE[script], data_dir
+        else:
+            text = (REPO / "demos" / f"{script}.fdq").read_text(encoding="utf-8")
+            text = text.replace("/tmp/iowa-after.fdset", str(tmp_path / "after.fdset"))
+            last, base = "", REPO
+        executed = io.StringIO()
+        assert run_script(fresh_session(base), text, out=executed) == 0
+        assert capsys.readouterr().err == ""
+        typed = io.StringIO()
+        assert run_repl(fresh_session(base), stdin=io.StringIO(text), out=typed) == 0
+        assert typed.getvalue() == executed.getvalue()
+        assert executed.getvalue().rstrip().endswith(last)
 
     def test_script_stops_at_first_error(self, data_dir, capsys):
         text = "LOAD 'missing.csv' AS X;\nLOAD 'iowa.csv' AS IOWA;\n"

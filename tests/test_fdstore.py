@@ -1,5 +1,6 @@
 import pytest
 
+import fdq.fdstore
 from fdq.errors import (
     ContractError,
     NameResolutionError,
@@ -213,6 +214,32 @@ class TestEvalFdml:
         )
         table = eval_fdml(q, self.fdset, SCHEMA)
         assert [r[0] for r in table.rows] == ["Address, Category"]
+
+    def test_subset_expansions_are_pinned(self, iowa, monkeypatch):
+        # a deterministic work counter: each LIKE atom expands its set
+        # expression once, so going back to one expansion per entry (305
+        # here) fails on the count, not on a stopwatch
+        calls = []
+        real = fdq.fdstore.eval_subset_expr
+
+        def counting(expr, schema):
+            calls.append(None)
+            return real(expr, schema)
+
+        monkeypatch.setattr(fdq.fdstore, "eval_subset_expr", counting)
+        query = parse_fdml(
+            "SELECTDEP LHS -> RHS FROM fs WHERE "
+            '(LHS LIKE ({"Address", "Zip"} + {"Address", "Category*"}) '
+            'AND RHS LIKE ("Sale", "Date")) '
+            'OR (LHS LIKE ({"Vendor"}) AND LHS LENGTH = 3 AND RHS LIKE ("*Sold"))'
+        )
+        table = eval_fdml(query, mine_fds(iowa, name="fs"), iowa.attribute_names)
+        assert len(calls) == 4
+        assert [r[0] for r in table.rows] == [
+            "Address, Category", "Address, Category",
+            "Address, CategoryName", "Address, CategoryName",
+            "Address, Zip", "Address, Zip",
+        ]
 
     def test_schema_defaults_to_entry_universe(self):
         q = parse_fdml("SELECTDEP LHS -> RHS FROM fs WHERE LHS LIKE *")

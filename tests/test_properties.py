@@ -17,7 +17,9 @@ from fdq.fdstore import (
     LhsLike,
     RhsLike,
     attr_closure,
+    canonical_key,
     dumps_fdset,
+    eval_fdml,
     fdml_to_text,
     loads_fdset,
     parse_fdml,
@@ -50,7 +52,7 @@ from fdq.query import (
     value_distance,
 )
 from fdq.relation import And, Comparison, Not, Or, Relation, eval_row_predicate
-from fdq.setexpr import AllOf, AnyOf, Combine, GlobList, Star
+from fdq.setexpr import AllOf, AnyOf, Combine, GlobList, Star, eval_subset_expr
 
 NAMES = ("A", "B", "C", "D", "E")
 
@@ -649,6 +651,42 @@ def test_where_tree_is_set_algebra_over_predicates(case, pivot):
     )
     assert len(both.rows) == len(kept_pred & kept_cmp)
     assert len(either.rows) == len(kept_pred | kept_cmp)
+
+
+def entry_matches(node, entry, schema):
+    """One entry against a dependency condition, atom by atom: the oracle
+    for the set-at-a-time evaluation in fdq.fdstore."""
+    if isinstance(node, LhsLike):
+        lhs = set(entry.lhs)
+        return any(alt <= lhs for alt in eval_subset_expr(node.expr, schema))
+    if isinstance(node, RhsLike):
+        return any(entry.rhs in alt for alt in eval_subset_expr(node.expr, schema))
+    if isinstance(node, LhsLength):
+        return node.admits(len(entry.lhs))
+    if isinstance(node, ErrorLeq):
+        return entry.error <= node.threshold
+    if isinstance(node, And):
+        return all(entry_matches(item, entry, schema) for item in node.items)
+    if isinstance(node, Or):
+        return any(entry_matches(item, entry, schema) for item in node.items)
+    raise TypeError(f"not a condition node: {node!r}")
+
+
+@common
+@given(fdml_queries, fdsets(), st.none() | st.just(NAMES + ("Cat", "Bob")))
+def test_fdml_evaluation_equals_the_per_entry_oracle(query, fdset, schema):
+    names = list(schema) if schema is not None else fdset.attribute_universe()
+    hits = sorted(
+        (
+            e for e in fdset.entries
+            if query.where is None or entry_matches(query.where, e, names)
+        ),
+        key=canonical_key,
+    )
+    rows = [(", ".join(e.lhs), e.rhs, e.error) for e in hits]
+    if query.projection == "pairs":
+        rows = [row[:2] for row in rows]
+    assert list(eval_fdml(query, fdset, schema).rows) == rows
 
 
 def _typed_constant(meta, integer_pick, text_pick):

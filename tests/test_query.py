@@ -201,6 +201,20 @@ class TestParse:
                 'SELECT * FROM IOWA WHERE NOT (HOLDS ("A" -> "B") AND ["C" = 1])'
             )
 
+    @pytest.mark.parametrize(
+        "negated",
+        [
+            '(HOLDS ("Address" -> "Zip", "Pack", ERROR = 0.1))',
+            '(HOLDS ("Address" -> "Zip") AND ["Pack" = 12])',
+        ],
+        ids=["approximate", "mixed"],
+    )
+    def test_rejected_not_points_at_the_not(self, negated):
+        text = f'SELECT "Zip" FROM IOWA WHERE NOT {negated}'
+        with pytest.raises(ParseError) as info:
+            parse_extended_select(text)
+        assert info.value.pos == text.index("NOT") + 1 == 30
+
     def test_not_over_row_condition_wraps(self):
         ast = parse_extended_select('SELECT * FROM IOWA WHERE NOT ["Pack" = 12]')
         assert ast.where == Not(Comparison("Pack", "=", 12))
@@ -351,6 +365,13 @@ class TestValueDistance:
         assert value_distance(10, 12, "integer") == 2 / 12
         assert value_distance(Decimal("1.5"), Decimal("1.5"), "decimal") == 0.0
 
+    def test_numeric_distance_is_capped_at_one(self):
+        # opposite signs differ by more than the larger magnitude
+        assert value_distance(-1, 1, "integer") == 1.0
+        assert value_distance(Decimal("-2.5"), Decimal("0.5"), "decimal") == 1.0
+        assert value_distance(0, 7, "integer") == 1.0
+        assert value_distance(-3, -4, "integer") == 1 / 4
+
     def test_null_is_rejected(self):
         with pytest.raises(ContractError):
             value_distance(None, "x", "text")
@@ -383,6 +404,19 @@ class TestEvalViolates:
         r = rel(["a", "b"], [("x", "1"), (None, "1"), ("xx", "1")])
         found = eval_violates(r, "a", ["a"], "b", threshold=1.0)
         assert found == {0, 2}
+
+    @pytest.mark.parametrize(
+        "kind, values",
+        [("integer", (-1, 1, -2, 3, 5)), ("text", ("a", "bcd", "x", "yz", "q"))],
+    )
+    def test_bound_of_one_flags_every_distinct_sibling(self, kind, values):
+        a, b, c, d, e = values
+        r = Relation.build(
+            "t",
+            [("s", kind), ("g", "integer")],
+            [(a, 0), (b, 0), (None, 0), (e, 1), (e, 1), (c, 2), (d, 2)],
+        )
+        assert eval_violates(r, "s", ["s"], "g", threshold=1.0) == {0, 1, 5, 6}
 
     def test_only_close_values_in_a_mixed_group(self):
         # "abcd"/"abce" are one edit apart; "zzzzzzzz" is far from both
