@@ -3,13 +3,19 @@
 `mine_fds` is a pruned levelwise walk over the attribute lattice (TANE,
 Huhtala et al. 1999). A candidate X -> A is validated by counting A's
 value ids inside each cluster of X's partition, so no partition product
-is built just to score it. A candidate is skipped once a smaller
-determinant for the same dependent has been emitted, so only minimal
-dependencies surface. A node whose every dependent is settled that way
-is dead: no superset can yield a candidate, so level k+1 builds only the
-nodes whose k-subsets are all live, each by one partition product. No
-level is built past the size cap. Validation runs serially and in a fixed
-order, so the outcome does not depend on the requested worker count.
+is built just to score it. Scoring is bound-aware: `pair_errors` counts
+cluster by cluster in growing stages and drops a dependent as soon as
+its partial count is past the error threshold, which a partial count can
+decide because violating pairs only accumulate. Most candidates fail,
+most of those within the first stage, and only those that pass are
+counted over every clustered row, so emitted errors stay exact. A
+candidate is skipped once a smaller determinant for the same dependent
+has been emitted, so only minimal dependencies surface. A node whose
+every dependent is settled that way is dead: no superset can yield a
+candidate, so level k+1 builds only the nodes whose k-subsets are all
+live, each by one partition product. No level is built past the size
+cap. Validation runs serially and in a fixed order, so the outcome does
+not depend on the requested worker count.
 
 `brute_force_mine` answers the same question by brute force over row
 pairs, with no partitions involved, and exists to cross-check the fast
@@ -130,7 +136,9 @@ def mine_fds(
             ]
             if not todo:
                 continue
-            errors = pair_errors(pli, [ids[a] for a in todo], relation.row_count)
+            errors = pair_errors(
+                pli, [ids[a] for a in todo], relation.row_count, spec.error_threshold
+            )
             alive = False
             for a, err in zip(todo, errors):
                 if err <= spec.error_threshold:

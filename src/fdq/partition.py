@@ -4,22 +4,33 @@ A PLI (position list index) keeps, for an attribute set, only the value
 clusters with two or more rows; singleton clusters carry no violation
 evidence and are dropped. Clusters and the rows inside them stay sorted,
 so every partition has one canonical form and downstream results are
-reproducible run to run.
+reproducible run to run. The constructors below keep that form; `PLI`
+itself does not re-check it, since the miner builds one per product.
 
 The error of a candidate X -> A is the fraction of ordered row pairs that
 agree on X but disagree on A, out of all n*(n-1) ordered pairs. It is 0
 exactly when the dependency holds. For n <= 1 the denominator degenerates
 and the error is defined as 0. The miner, approximate HOLDS and DEPENDENT
 all score through `pair_errors`, which never builds the X u {A} partition.
+
+Every caller asks whether the error is within a bound, so `pair_errors`
+counts violating pairs in stages of whole clusters, the first of at
+least STAGE_ROWS rows and each later one about twice the one before,
+and stops scoring a dependent once its running count is past the bound.
+A cluster's violating pairs never go negative, so a partial count is a
+lower bound: once `partial / denominator > bound`, the full error is
+past it too (float division is monotone). A dependent within the bound
+is counted to the end, and its stage sums add up to the exact count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from operator import add, mul
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from math import inf
+from operator import add, itemgetter, mul
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError
 from .relation import Relation
@@ -27,27 +38,14 @@ from .relation import Relation
 
 @dataclass(frozen=True)
 class PLI:
-    """Clusters of >= 2 rows sharing a value tuple, over a known row count."""
+    """Clusters of >= 2 rows sharing a value tuple, over a known row count.
+
+    Canonical form: each cluster ascending, clusters ordered by their
+    smallest row, no row in two clusters, rows below `relation_size`.
+    """
 
     clusters: tuple[tuple[int, ...], ...]
     relation_size: int
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for cluster in self.clusters:
-            if len(cluster) < 2:
-                raise ContractError("stripped partitions keep only clusters of >= 2")
-            if list(cluster) != sorted(cluster):
-                raise ContractError("cluster rows must be ascending")
-            for row in cluster:
-                if row in seen:
-                    raise ContractError(f"row {row} appears in two clusters")
-                seen.add(row)
-        firsts = [c[0] for c in self.clusters]
-        if firsts != sorted(firsts):
-            raise ContractError("clusters must be ordered by smallest member")
-        if len(seen) > self.relation_size:
-            raise ContractError("partition covers more rows than the relation has")
 
     @property
     def covered(self) -> int:
@@ -76,11 +74,22 @@ def grouped(
     """Scope rows (default: all) by their value tuple on `attrs`, ascending
     within each group, groups in order of their smallest row."""
     rows = relation.rows
-    indices = range(len(rows)) if scope is None else sorted(scope)
+    if scope is None:
+        indices: Sequence[int] = range(len(rows))
+        picked = rows
+    else:
+        indices = sorted(scope)
+        picked = map(rows.__getitem__, indices)
+    if len(attrs) == 1:
+        # itemgetter of one index returns the bare value; keys stay 1-tuples
+        keys = zip(map(itemgetter(attrs[0]), picked))
+    elif attrs:
+        keys = map(itemgetter(*attrs), picked)
+    else:
+        keys = repeat((), len(indices))
     groups: dict[tuple, list[int]] = {}
-    for i in indices:
-        row = rows[i]
-        groups.setdefault(tuple(row[a] for a in attrs), []).append(i)
+    for key, i in zip(keys, indices):
+        groups.setdefault(key, []).append(i)
     return groups
 
 
@@ -138,24 +147,62 @@ def value_ids(pli: PLI) -> list[int]:
     return ids
 
 
+STAGE_ROWS = 64
+
+
+def _stages(
+    clusters: Sequence[tuple[int, ...]], n: int
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """Runs of whole clusters, the first of at least STAGE_ROWS rows and
+    each later one of at least twice the rows of the one before, as
+    (rows, tags, sum of squared cluster sizes). A tag is the row's cluster
+    number times n, so adding a value id in [0, n) keys (cluster, value)."""
+    start, target = 0, STAGE_ROWS
+    while start < len(clusters):
+        end, size = start, 0
+        while end < len(clusters) and size < target:
+            size += len(clusters[end])
+            end += 1
+        run = clusters[start:end]
+        rows = list(chain.from_iterable(run))
+        tags = list(
+            chain.from_iterable(repeat(cid * n, len(c)) for cid, c in enumerate(run))
+        )
+        yield rows, tags, sum(len(c) * len(c) for c in run)
+        start, target = end, 2 * size
+
+
 def pair_errors(
-    pli: PLI, id_columns: Iterable[Sequence[int]], scope_size: int
+    pli: PLI,
+    id_columns: Iterable[Sequence[int]],
+    scope_size: int,
+    bound: float = inf,
 ) -> list[float]:
     """Error of X -> A for each dependent A given by its value ids, X being
-    the partition's attribute set over a scope of `scope_size` rows."""
+    the partition's attribute set over a scope of `scope_size` rows.
+
+    An error within `bound` is exact. Past it, scoring may stop early and
+    return some value still past the bound; the default never stops.
+    """
+    columns = list(id_columns)
     denominator = scope_size * scope_size - scope_size
-    agree_lhs = pli.pair_count()
-    n = pli.relation_size
-    rows = list(chain.from_iterable(pli.clusters))
-    # one int per clustered row encodes (cluster, dependent value id);
-    # the c rows sharing one make c*c - c pairs agreeing on X and A
-    tags = [cid * n for cid, cluster in enumerate(pli.clusters) for _ in cluster]
-    errors = []
-    for ids in id_columns:
-        counts = Counter(map(add, tags, map(ids.__getitem__, rows))).values()
-        agree_both = sum(map(mul, counts, counts)) - len(rows)
-        errors.append((agree_lhs - agree_both) / denominator if denominator else 0.0)
-    return errors
+    if not denominator:
+        return [0.0] * len(columns)
+    violating = [0] * len(columns)
+    open_columns = list(enumerate(columns))
+    for rows, tags, square_sum in _stages(pli.clusters, pli.relation_size):
+        still_open = []
+        for j, ids in open_columns:
+            # the c rows of one (cluster, value) agree on X and A in c*c - c
+            # pairs; a cluster of s rows agrees on X in s*s - s
+            counts = Counter(map(add, tags, map(ids.__getitem__, rows))).values()
+            violating[j] += square_sum - sum(map(mul, counts, counts))
+            if violating[j] / denominator <= bound:
+                still_open.append((j, ids))
+        open_columns = still_open
+        if not open_columns:
+            break
+    return [v / denominator for v in violating]
 
 
 def violating_rows(
@@ -189,9 +236,13 @@ def fd_holds(
 
 
 def error_measure(
-    relation: Relation, cand: FDCandidate, scope: Iterable[int] | None = None
+    relation: Relation,
+    cand: FDCandidate,
+    scope: Iterable[int] | None = None,
+    bound: float = inf,
 ) -> float:
-    """Violating ordered pairs / all ordered pairs, within the scope."""
+    """Violating ordered pairs / all ordered pairs, within the scope; exact
+    when within `bound`, otherwise some value past it (see `pair_errors`)."""
     if scope is None:
         indices: Sequence[int] = range(relation.row_count)
     else:
@@ -200,4 +251,4 @@ def error_measure(
             raise ContractError("error measure needs a non-empty scope")
     lhs_pli = pli_of(relation, sorted(cand.lhs), indices)
     rhs_ids = value_ids(pli_of(relation, [cand.rhs], indices))
-    return pair_errors(lhs_pli, [rhs_ids], len(indices))[0]
+    return pair_errors(lhs_pli, [rhs_ids], len(indices), bound)[0]

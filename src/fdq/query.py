@@ -358,7 +358,8 @@ def eval_holds(
 
     Exact mode removes every witness cluster. Approximate mode is staged:
     if the error over the scope is within the bound the clean rows come
-    back, otherwise nothing does.
+    back, otherwise nothing does. Without witnesses the error is 0, so it
+    is measured only when there are some.
     """
     lhs_idx = _resolve(relation, lhs)
     rhs_idx = relation.attribute(rhs).index
@@ -370,9 +371,11 @@ def eval_holds(
         return set(scope) - bad
     if not 0.0 <= error < 1.0:
         raise ParameterError(f"error bound {error} outside [0, 1)")
-    if rhs_idx in lhs_idx:
-        return set(scope)  # trivially exact
-    measured = error_measure(relation, FDCandidate(frozenset(lhs_idx), rhs_idx), scope)
+    if not bad:  # also covers a trivial candidate, dependent inside the determinant
+        return set(scope)
+    measured = error_measure(
+        relation, FDCandidate(frozenset(lhs_idx), rhs_idx), scope, error
+    )
     if measured <= error:
         return set(scope) - bad
     return set()
@@ -533,7 +536,7 @@ def eval_dependent(
 
     def passing(lhs: list[int], candidates: list[int]) -> set[int]:
         pli = partition.pli_of(relation, lhs)
-        errors = partition.pair_errors(pli, [ids[a] for a in candidates], n)
+        errors = partition.pair_errors(pli, [ids[a] for a in candidates], n, bound)
         return {a for a, err in zip(candidates, errors) if err <= bound}
 
     qualifying = sorted(passing(x, outside))

@@ -1,22 +1,39 @@
 import itertools
 
 import pytest
+from canonical import assert_canonical
 
 from fdq.errors import ContractError
 from fdq.partition import (
     FDCandidate,
     PLI,
-    build_pli,
+    STAGE_ROWS,
     error_measure,
     fd_holds,
-    intersect,
-    pli_of,
+    pair_errors,
+    value_ids,
 )
+from fdq.partition import build_pli as _build_pli
+from fdq.partition import intersect as _intersect
+from fdq.partition import pli_of as _pli_of
 from fdq.relation import Relation, load_csv
 
 
 def idx(relation, name):
     return relation.attribute(name).index
+
+
+# every partition these tests build is also checked for canonical form
+def build_pli(relation, attribute):
+    return assert_canonical(_build_pli(relation, attribute))
+
+
+def pli_of(relation, attrs, scope=None):
+    return assert_canonical(_pli_of(relation, attrs, scope))
+
+
+def intersect(a, b):
+    return assert_canonical(_intersect(a, b))
 
 
 def pairwise_error(relation, lhs, rhs, scope=None):
@@ -54,14 +71,14 @@ class TestBuildPli:
             build_pli(iowa, 11)
 
     def test_invariants_enforced(self):
-        with pytest.raises(ContractError):
-            PLI(((3,),), 5)
-        with pytest.raises(ContractError):
-            PLI(((2, 1),), 5)
-        with pytest.raises(ContractError):
-            PLI(((0, 1), (1, 2)), 5)
-        with pytest.raises(ContractError):
-            PLI(((2, 3), (0, 1)), 5)
+        with pytest.raises(AssertionError, match="fewer than 2"):
+            assert_canonical(PLI(((3,),), 5))
+        with pytest.raises(AssertionError, match="not ascending"):
+            assert_canonical(PLI(((2, 1),), 5))
+        with pytest.raises(AssertionError, match="two clusters"):
+            assert_canonical(PLI(((0, 1), (1, 2)), 5))
+        with pytest.raises(AssertionError, match="not ordered"):
+            assert_canonical(PLI(((2, 3), (0, 1)), 5))
 
 
 class TestIntersect:
@@ -168,3 +185,50 @@ class TestErrorMeasure:
                 continue
             grown = FDCandidate(base.lhs | {extra}, rhs)
             assert error_measure(iowa, grown) <= error_measure(iowa, base)
+
+
+class CountingIds(list):
+    """Value ids that count the rows the kernel reads."""
+
+    reads = 0
+
+    def __getitem__(self, row):
+        self.reads += 1
+        return super().__getitem__(row)
+
+
+class TestPairErrors:
+    # X = row // 4 makes 100 clusters of 4 rows: stages of 64, 128 and 208;
+    # X -> A holds, B breaks in rows 0, 100, 200 and 300, C only in row 100
+    ROWS = [
+        [i // 4, i // 4, i // 4 if i % 100 else -1, -1 if i == 100 else i // 4]
+        for i in range(400)
+    ]
+
+    def scored(self, column, bound):
+        rel = Relation.build("t", [(n, "integer") for n in "XABC"], self.ROWS)
+        pli = build_pli(rel, 0)
+        ids = CountingIds(value_ids(build_pli(rel, column)))
+        (error,) = pair_errors(pli, [ids], 400, bound)
+        return pli, error, ids.reads
+
+    def test_broken_dependent_reads_only_the_first_stage(self):
+        pli, error, reads = self.scored(2, 0.0)
+        assert error > 0.0
+        assert reads == STAGE_ROWS == 64
+
+    def test_stages_double(self):
+        pli, error, reads = self.scored(3, 0.0)
+        assert error > 0.0
+        assert reads == 64 + 128
+
+    def test_holding_dependent_reads_every_clustered_row(self):
+        pli, error, reads = self.scored(1, 0.0)
+        assert error == 0.0
+        assert reads == pli.covered == 400
+
+    def test_default_bound_counts_every_row_exactly(self):
+        # rows 0, 100, 200 and 300 each split a cluster of 4: 3 * 2 pairs
+        pli, error, reads = self.scored(2, float("inf"))
+        assert error == 4 * 6 / (400 * 399)
+        assert reads == pli.covered

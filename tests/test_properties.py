@@ -2,11 +2,16 @@
 statements. Every law here is one the rest of the suite relies on pointwise;
 the generators shake out the shapes the golden tests do not reach."""
 
+from collections import Counter
 from decimal import Decimal
+from itertools import chain
+from operator import add, mul
 from unittest import mock
 
+from canonical import assert_canonical
 from hypothesis import example, given, settings, strategies as st
 
+import fdq.partition
 import fdq.query
 from fdq.fdstore import (
     ErrorLeq,
@@ -32,7 +37,16 @@ from fdq.miner import (
     cfd_support,
     mine_fds,
 )
-from fdq.partition import FDCandidate, error_measure, fd_holds, intersect, pli_of
+from fdq.partition import (
+    FDCandidate,
+    error_measure,
+    fd_holds,
+    grouped,
+    intersect,
+    pair_errors,
+    pli_of,
+    value_ids,
+)
 from fdq.query import (
     ColumnProjection,
     DependentProjection,
@@ -51,7 +65,15 @@ from fdq.query import (
     tableau_match_rows,
     value_distance,
 )
-from fdq.relation import And, Comparison, Not, Or, Relation, eval_row_predicate
+from fdq.relation import (
+    And,
+    AttributeMeta,
+    Comparison,
+    Not,
+    Or,
+    Relation,
+    eval_row_predicate,
+)
 from fdq.setexpr import AllOf, AnyOf, Combine, GlobList, Star, eval_subset_expr
 
 NAMES = ("A", "B", "C", "D", "E")
@@ -459,21 +481,108 @@ def test_pli_intersection_equals_combined_pli(relation):
     indexes = [m.index for m in relation.schema]
     half = max(1, len(indexes) // 2)
     a, b = indexes[:half], indexes[half:]
-    combined = pli_of(relation, a + b)
-    merged = intersect(pli_of(relation, a), pli_of(relation, b))
+    combined = assert_canonical(pli_of(relation, a + b))
+    merged = assert_canonical(
+        intersect(
+            assert_canonical(pli_of(relation, a)), assert_canonical(pli_of(relation, b))
+        )
+    )
     assert combined.clusters == merged.clusters
 
 
 @common
 @given(relations(max_rows=14))
 def test_pli_clusters_are_disjoint_and_stripped(relation):
-    pli = pli_of(relation, [m.index for m in relation.schema])
-    seen = set()
-    for cluster in pli.clusters:
-        assert len(cluster) >= 2
-        assert list(cluster) == sorted(cluster)
-        assert not (set(cluster) & seen)
-        seen.update(cluster)
+    assert_canonical(pli_of(relation, [m.index for m in relation.schema]))
+
+
+# nulls, and equal values of different type or spelling, in every column
+MIXED_CELLS = (None, 0, 1, 2, Decimal(1), Decimal("1.0"), Decimal("2.00"))
+
+
+@st.composite
+def mixed_relations(draw, max_rows=40):
+    n_attrs = draw(st.integers(2, 4))
+    metas = tuple(AttributeMeta(NAMES[i], i, "decimal") for i in range(n_attrs))
+    cells = st.tuples(*[st.sampled_from(MIXED_CELLS)] * n_attrs)
+    rows = draw(st.lists(cells, max_size=max_rows))
+    # bypasses Relation.build, which would reject an int in a decimal column
+    return Relation("t", metas, tuple(rows))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A relation, a sorted scope of 0, 1, 2 or all rows, a determinant and
+    a stage size."""
+    relation = draw(mixed_relations())
+    n = relation.row_count
+    size = min(n, draw(st.sampled_from((0, 1, 2, n))))
+    rows = st.integers(0, max(n - 1, 0))
+    scope = sorted(draw(st.sets(rows, min_size=size, max_size=size)))
+    width = len(relation.schema)
+    columns = st.integers(0, width - 1)
+    lhs = draw(st.lists(columns, min_size=1, max_size=width - 1, unique=True))
+    stage_rows = draw(st.sampled_from((1, 3, fdq.partition.STAGE_ROWS)))
+    return relation, scope, sorted(lhs), stage_rows
+
+
+def unstaged_pair_errors(pli, id_columns, scope_size):
+    """The kernel before staging: one count over every clustered row."""
+    denominator = scope_size * scope_size - scope_size
+    agree_lhs = pli.pair_count()
+    n = pli.relation_size
+    rows = list(chain.from_iterable(pli.clusters))
+    tags = [cid * n for cid, cluster in enumerate(pli.clusters) for _ in cluster]
+    errors = []
+    for ids in id_columns:
+        counts = Counter(map(add, tags, map(ids.__getitem__, rows))).values()
+        agree_both = sum(map(mul, counts, counts)) - len(rows)
+        errors.append((agree_lhs - agree_both) / denominator if denominator else 0.0)
+    return errors
+
+
+@common
+@given(kernel_cases(), st.data())
+def test_staged_pair_errors_decide_like_the_full_count(case, data):
+    relation, scope, lhs, stage_rows = case
+    dependents = [m.index for m in relation.schema if m.index not in lhs]
+    pli = assert_canonical(pli_of(relation, lhs, scope))
+    ids = [
+        value_ids(assert_canonical(pli_of(relation, [a], scope))) for a in dependents
+    ]
+    exact = unstaged_pair_errors(pli, ids, len(scope))
+    # 0, a small bound, or a tie with one of the exact errors
+    bound = data.draw(st.sampled_from([0.0, 0.05, *exact]))
+    with mock.patch.object(fdq.partition, "STAGE_ROWS", stage_rows):
+        staged = pair_errors(pli, ids, len(scope), bound)
+    for full, err in zip(exact, staged):
+        if full <= bound:
+            assert err == full
+        else:
+            assert err > bound
+
+
+def generator_grouped(relation, attrs, scope=None):
+    """The grouping before C-level keys: one generator tuple per row."""
+    rows = relation.rows
+    indices = range(len(rows)) if scope is None else sorted(scope)
+    groups = {}
+    for i in indices:
+        groups.setdefault(tuple(rows[i][a] for a in attrs), []).append(i)
+    return groups
+
+
+@common
+@given(kernel_cases(), st.integers(0, 3), st.booleans())
+def test_grouping_equals_the_generator_grouping(case, arity, scoped):
+    relation, scope, _, _ = case
+    attrs = list(range(min(arity, len(relation.schema))))
+    expected = generator_grouped(relation, attrs, scope if scoped else None)
+    got = grouped(relation, attrs, scope if scoped else None)
+    # equal keys may differ in type (1 == Decimal("1.0")): the first row's wins
+    assert [(k, [type(v) for v in k], g) for k, g in got.items()] == [
+        (k, [type(v) for v in k], g) for k, g in expected.items()
+    ]
 
 
 # --- mining -------------------------------------------------------------------------

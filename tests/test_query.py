@@ -320,6 +320,29 @@ class TestEvalHolds:
         kept = eval_holds(iowa, ["Zip", "Pack"], "Pack", error=0.5)
         assert kept == set(range(10))
 
+    @pytest.mark.parametrize(
+        "lhs, rhs, bound, measured",
+        [
+            (["Zip"], "Pack", 0.5, []),  # no witness: the error is 0
+            (["Zip", "Pack"], "Pack", 0.5, []),  # trivial
+            (["Category"], "CategoryName", 0.05, [0.05]),
+            (["Category"], "CategoryName", 0.01, [0.01]),
+        ],
+    )
+    def test_error_is_measured_only_with_witnesses(
+        self, iowa, monkeypatch, lhs, rhs, bound, measured
+    ):
+        bounds = []
+        real = fdq.query.error_measure
+
+        def counting(relation, cand, scope=None, bound=float("inf")):
+            bounds.append(bound)
+            return real(relation, cand, scope, bound)
+
+        monkeypatch.setattr(fdq.query, "error_measure", counting)
+        eval_holds(iowa, lhs, rhs, error=bound)
+        assert bounds == measured
+
     def test_bound_out_of_range(self, iowa):
         with pytest.raises(ParameterError):
             eval_holds(iowa, ["Zip"], "Pack", error=1.0)
