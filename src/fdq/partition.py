@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from math import inf
 from operator import add, itemgetter, mul
@@ -50,6 +51,18 @@ class PLI:
     @property
     def covered(self) -> int:
         return sum(len(c) for c in self.clusters)
+
+    @cached_property
+    def ids(self) -> list[int]:
+        """Per-row value id in [0, n): the smallest row of the row's
+        cluster, or the row itself outside every cluster. Built on first
+        read and kept, so each partition builds it at most once."""
+        ids = list(range(self.relation_size))
+        for cluster in self.clusters:
+            first = cluster[0]
+            for row in cluster:
+                ids[row] = first
+        return ids
 
     def pair_count(self) -> int:
         """Ordered row pairs agreeing on the underlying attribute set."""
@@ -114,37 +127,31 @@ def build_pli(relation: Relation, attribute: int) -> PLI:
 
 
 def intersect(a: PLI, b: PLI) -> PLI:
-    """Partition product via a probe table: rows clustered in both inputs.
+    """Partition product: each cluster of `a` split by `b`'s value ids.
 
-    Runs in time linear in the covered rows of the two inputs.
+    Runs in time linear in the covered rows of `a`, once `b`'s ids exist;
+    the miner passes a single-attribute partition as `b`, whose ids are
+    built once per mining call.
     """
     if a.relation_size != b.relation_size:
         raise ContractError("cannot intersect partitions of different relations")
-    probe: dict[int, int] = {}
-    for cid, cluster in enumerate(a.clusters):
-        for row in cluster:
-            probe[row] = cid
+    ids = b.ids
     out: list[tuple[int, ...]] = []
-    for cluster in b.clusters:
+    for cluster in a.clusters:
         buckets: dict[int, list[int]] = {}
         for row in cluster:
-            cid = probe.get(row)
-            if cid is not None:
-                buckets.setdefault(cid, []).append(row)
+            buckets.setdefault(ids[row], []).append(row)
         out.extend(tuple(g) for g in buckets.values() if len(g) >= 2)
-    out.sort(key=lambda c: c[0])
+    # a later cluster of `a` can split off a part that starts before an
+    # earlier cluster's part
+    out.sort(key=itemgetter(0))
     return PLI(tuple(out), a.relation_size)
 
 
 def value_ids(pli: PLI) -> list[int]:
-    """Per-row value id in [0, n) from a single-attribute partition: the
-    smallest row holding the same value."""
-    ids = list(range(pli.relation_size))
-    for cluster in pli.clusters:
-        first = cluster[0]
-        for row in cluster:
-            ids[row] = first
-    return ids
+    """Per-row value ids of a partition (see `PLI.ids`); the list is
+    shared, so callers only read it."""
+    return pli.ids
 
 
 STAGE_ROWS = 64

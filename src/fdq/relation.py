@@ -3,9 +3,17 @@
 A relation is an immutable snapshot: attribute metadata plus a tuple of
 rows. Cell values are int, Decimal, str, or None. Decimal keeps CSV
 decimals exact, and equal values hash equally across int/Decimal, which
-the partition layer relies on. Every relation carries a 64-bit content
-fingerprint so downstream artifacts can detect that their source table
-changed.
+the partition layer relies on.
+
+Every relation has a 64-bit content fingerprint, so downstream artifacts
+can detect that their source table changed. It is row-additive: a digest
+of the schema and row count plus the sum, mod 2**64, of one 64-bit digest
+per row, each taken over the row's index and cells (Bellare and
+Micciancio's AdHash, 1997). Equal content gives an equal fingerprint, and
+row order matters. It is computed on first use, so statements that
+neither mine nor check a stored dependency set never pay for it, and a
+snapshot derived by `with_rows` from a parent whose fingerprint is known
+updates it by the changed rows alone.
 """
 
 from __future__ import annotations
@@ -16,8 +24,9 @@ import io
 import operator
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
 from typing import IO, Iterable, Sequence, Union
 
 from .errors import (
@@ -48,15 +57,19 @@ class AttributeMeta:
 
 @dataclass(frozen=True)
 class Relation:
-    """Immutable table: name, attribute metadata, rows, content fingerprint."""
+    """Immutable table: name, attribute metadata, rows."""
 
     name: str
     schema: tuple[AttributeMeta, ...]
     rows: tuple[tuple[Value, ...], ...]
-    fingerprint: int = field(init=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "fingerprint", _fingerprint(self.schema, self.rows))
+    @cached_property
+    def fingerprint(self) -> int:
+        """64-bit content digest, computed on first read (see the module
+        docstring). Not a field, so equality and hashing ignore it."""
+        rows = self.rows
+        total = _header_digest(self.schema, len(rows))
+        return (total + sum(map(_row_digest, range(len(rows)), rows))) % _MODULUS
 
     @staticmethod
     def build(
@@ -114,12 +127,35 @@ class Relation:
                 return meta
         raise NameResolutionError(f"no attribute {name!r} in {self.name!r}")
 
-    def with_rows(self, rows: Iterable[Sequence[Value]]) -> "Relation":
-        """New snapshot with the same schema and replaced rows."""
-        return Relation(self.name, self.schema, tuple(tuple(r) for r in rows))
+    def with_rows(
+        self,
+        rows: Iterable[Sequence[Value]],
+        changed: Iterable[int] | None = None,
+    ) -> "Relation":
+        """New snapshot with the same schema and replaced rows.
+
+        `changed` names the row indexes that may differ from this snapshot;
+        every other row must be equal. With it, a fingerprint already read
+        here carries over to the new snapshot at the cost of those rows
+        alone; otherwise the new snapshot computes its own when read.
+        """
+        child = Relation(self.name, self.schema, tuple(tuple(r) for r in rows))
+        known = self.__dict__.get("fingerprint")  # where cached_property keeps it
+        if known is None or changed is None or child.row_count != self.row_count:
+            return child
+        for index in changed:
+            known += _row_digest(index, child.rows[index])
+            known -= _row_digest(index, self.rows[index])
+        child.__dict__["fingerprint"] = known % _MODULUS
+        return child
 
 
 def _canonical_cell(value: Value) -> bytes:
+    # exact type tests first: text and int cells are nearly all of them
+    if type(value) is str:
+        return b"t" + value.encode("utf-8")
+    if type(value) is int:
+        return b"i%d" % value
     if value is None:
         return b"n"
     if isinstance(value, bool):
@@ -132,20 +168,28 @@ def _canonical_cell(value: Value) -> bytes:
     return b"t" + value.encode("utf-8")
 
 
-def _fingerprint(schema, rows) -> int:
-    h = hashlib.blake2b(digest_size=8)
+_MODULUS = 1 << 64
+# 0xff never occurs in UTF-8, and the other encodings are ASCII, so fields
+# joined by it cannot run together
+_SEP = b"\xff"
+
+
+def _digest(fields: list[bytes]) -> int:
+    data = _SEP.join(fields)
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
+
+def _header_digest(schema, row_count: int) -> int:
+    # a row's fields start with its index, so a header never reads as a row
+    fields = [b"schema", b"%d" % row_count]
     for meta in schema:
-        h.update(meta.name.encode("utf-8"))
-        h.update(b"\x1f")
-        h.update(meta.kind.encode())
-        h.update(b"\x1e")
-    h.update(b"\x1d")
-    for row in rows:
-        for cell in row:
-            h.update(_canonical_cell(cell))
-            h.update(b"\x1f")
-        h.update(b"\x1e")
-    return int.from_bytes(h.digest(), "big")
+        fields += (meta.name.encode("utf-8"), meta.kind.encode())
+    return _digest(fields)
+
+
+def _row_digest(index: int, row) -> int:
+    """The 64-bit digest of one row at its position."""
+    return _digest([b"%d" % index, *map(_canonical_cell, row)])
 
 
 def _infer_kind(cells: Iterable[str]) -> str:

@@ -9,6 +9,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fdq.relation
 from fdq.cli import (
     QuitRequested,
     Session,
@@ -338,6 +339,58 @@ class TestUpdateAndStaleness:
             "removed (0):\n"
             "error changed (0):"
         )
+
+
+class TestSnapshotWork:
+    """Deterministic work counters for the table fingerprint: the rows each
+    statement hashes, counted by wrapping the per-row digest."""
+
+    @pytest.fixture()
+    def hashed(self, monkeypatch):
+        rows = []
+        real = fdq.relation._row_digest
+
+        def counting(index, row):
+            rows.append(index)
+            return real(index, row)
+
+        monkeypatch.setattr(fdq.relation, "_row_digest", counting)
+        return rows
+
+    def test_rows_hashed_per_statement(self, data_dir, hashed):
+        session = fresh_session(data_dir)
+        run(
+            session,
+            "LOAD 'iowa.csv' AS IOWA",
+            'SELECT * FROM IOWA WHERE HOLDS ("Zip" -> "Pack")',
+            'SELECT * FROM IOWA WHERE "Address" VIOLATES ("Address", "Vendor" -> "Zip")',
+            'SELECT DEPENDENT (["Address"]) FROM IOWA',
+        )
+        assert hashed == []  # nothing has read the fingerprint yet
+
+        run(session, "MINEFD fs AS SELECT LHS -> RHS WHERE LHS LENGTH <= 1 FROM IOWA")
+        assert sorted(hashed) == list(range(10))
+
+        hashed.clear()
+        outputs = run(
+            session,
+            'UPDATE IOWA SET "Zip" = 51333 WHERE ["Address" = "HWY 71"]',
+            "SELECTDEP * FROM fs",
+        )
+        assert outputs[0] == "updated 2 rows in IOWA"
+        assert len(hashed) <= 2 * 2
+        assert outputs[1].startswith("warning: fdset 'fs' is stale")
+
+        hashed.clear()
+        outputs = run(
+            session,
+            "MINEFD after AS SELECT LHS -> RHS WHERE LHS LENGTH <= 1 FROM IOWA",
+            "SELECTDEP * FROM after",
+            "SELECTDEP * FROM fs",
+        )
+        assert hashed == []
+        assert not outputs[1].startswith("warning:")
+        assert outputs[2].startswith("warning: fdset 'fs' is stale")
 
 
 class TestImportExport:

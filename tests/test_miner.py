@@ -1,4 +1,5 @@
 import logging
+from functools import cached_property
 
 import pytest
 
@@ -15,6 +16,7 @@ from fdq.miner import (
     mine_fds,
     parse_minefd,
 )
+from fdq.partition import PLI
 from fdq.query import PatternTableau
 from fdq.relation import Relation, load_csv
 from fdq.setexpr import GlobList
@@ -147,6 +149,29 @@ class TestMineFds:
         mined = mine_fds(iowa, spec)
         assert len(calls) == products
         assert mined.entries == brute_force_mine(iowa, spec).entries
+
+    def test_single_partition_ids_are_built_once(self, iowa, monkeypatch):
+        # intersect splits by the ids of its single-attribute input, so
+        # each attribute's ids are built once per call, not per product
+        singles, built = [], []
+        real_build, real_ids = fdq.miner.build_pli, PLI.ids.func
+
+        def building(relation, attribute):
+            singles.append(real_build(relation, attribute))
+            return singles[-1]
+
+        def ids(pli):
+            built.append(pli)
+            return real_ids(pli)
+
+        counting = cached_property(ids)
+        counting.__set_name__(PLI, "ids")
+        monkeypatch.setattr(fdq.miner, "build_pli", building)
+        monkeypatch.setattr(PLI, "ids", counting)
+        mine_fds(iowa)
+        assert len(singles) == len(iowa.schema)
+        assert built and {id(p) for p in built} <= {id(p) for p in singles}
+        assert len({id(p) for p in built}) == len(built)
 
     def test_bad_parameters(self, iowa):
         with pytest.raises(ParameterError):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fdq.partition
 import fdq.query
+from fdq.cli import Session, run_command
 from fdq.fdstore import (
     ErrorLeq,
     FDEntry,
@@ -739,6 +740,49 @@ def test_fingerprint_tracks_content_not_identity(relation):
         ]
         if old != new:
             assert relation.with_rows(rows).fingerprint != relation.fingerprint
+
+
+@st.composite
+def update_runs(draw):
+    """A relation and UPDATE statements over it, each with a flag saying
+    whether the snapshot's fingerprint is read just before it runs."""
+    relation = draw(relations(max_rows=8))
+
+    def literal(meta, impossible=False):
+        if meta.kind == "integer":
+            return "99" if impossible else str(draw(st.integers(0, 3)))
+        return '"zz"' if impossible else f'"{draw(st.sampled_from("abc"))}"'
+
+    statements = []
+    for _ in range(draw(st.integers(1, 5))):
+        target = draw(st.sampled_from(relation.schema))
+        value = "NULL" if draw(st.booleans()) else literal(target)
+        statement = f'UPDATE T SET "{target.name}" = {value}'
+        where = draw(st.sampled_from(["none", "some", "no row"]))
+        if where != "none":
+            meta = draw(st.sampled_from(relation.schema))
+            constant = literal(meta, impossible=where == "no row")
+            statement += f' WHERE ["{meta.name}" = {constant}]'
+        statements.append((statement, draw(st.booleans())))
+    return relation, statements
+
+
+@common
+@given(update_runs())
+def test_updated_fingerprint_equals_a_fresh_hash(case):
+    # a snapshot whose parent's fingerprint was read derives its own from
+    # the changed rows; one whose parent's was not computes it when read
+    relation, statements = case
+    session = Session(relations={"T": relation})
+    for statement, read_before in statements:
+        if read_before:
+            session.relations["T"].fingerprint
+        run_command(session, statement)
+        if read_before:
+            now = session.relations["T"]
+            assert now.fingerprint == Relation(now.name, now.schema, now.rows).fingerprint
+    now = session.relations["T"]
+    assert now.fingerprint == Relation(now.name, now.schema, now.rows).fingerprint
 
 
 # --- query algebra -------------------------------------------------------------------

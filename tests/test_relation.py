@@ -127,6 +127,17 @@ class TestFingerprint:
         assert a.fingerprint == b.fingerprint
 
 
+def test_fingerprint_keeps_cells_apart():
+    # a separator byte inside a text cell must not shift a cell boundary
+    attributes = [("A", "text"), ("B", "text")]
+    a = Relation.build("t", attributes, [["a\x1ftb", "c"], ["x\xff", "y"]])
+    b = Relation.build("t", attributes, [["a", "b\x1ftc"], ["x", "\xffy"]])
+    assert a.fingerprint != b.fingerprint
+    c = Relation.build("t", [("A\x1fB", "text")], [])
+    d = Relation.build("t", [("A", "text"), ("B", "text")], [])
+    assert c.fingerprint != d.fingerprint
+
+
 class TestRelation:
     def test_attribute_lookup(self, iowa):
         assert iowa.attribute("Zip").index == 2
