@@ -390,7 +390,7 @@ def _run_update(session: Session, line: str) -> str:
         row[: meta.index] + (value,) + row[meta.index + 1 :] if i in targets else row
         for i, row in enumerate(relation.rows)
     ]
-    session.relations[table] = relation.with_rows(rows, changed=targets)
+    session.relations[table] = relation.with_rows(rows)
     noun = "row" if len(targets) == 1 else "rows"
     return f"updated {len(targets)} {noun} in {table}"
 

@@ -13,7 +13,8 @@ Micciancio's AdHash, 1997). Equal content gives an equal fingerprint, and
 row order matters. It is computed on first use, so statements that
 neither mine nor check a stored dependency set never pay for it, and a
 snapshot derived by `with_rows` from a parent whose fingerprint is known
-updates it by the changed rows alone.
+updates it by the changed rows alone when fewer than half the rows
+changed.
 """
 
 from __future__ import annotations
@@ -127,21 +128,25 @@ class Relation:
                 return meta
         raise NameResolutionError(f"no attribute {name!r} in {self.name!r}")
 
-    def with_rows(
-        self,
-        rows: Iterable[Sequence[Value]],
-        changed: Iterable[int] | None = None,
-    ) -> "Relation":
+    def with_rows(self, rows: Iterable[Sequence[Value]]) -> "Relation":
         """New snapshot with the same schema and replaced rows.
 
-        `changed` names the row indexes that may differ from this snapshot;
-        every other row must be equal. With it, a fingerprint already read
-        here carries over to the new snapshot at the cost of those rows
-        alone; otherwise the new snapshot computes its own when read.
+        Rows passed through unchanged keep their identity, so the rows that
+        may differ are those that are not the parent's row objects. When a
+        fingerprint was already read here and fewer than half the rows
+        differ, the new snapshot's is derived from those rows alone;
+        otherwise the new snapshot computes its own when read, which costs
+        no more.
         """
         child = Relation(self.name, self.schema, tuple(tuple(r) for r in rows))
         known = self.__dict__.get("fingerprint")  # where cached_property keeps it
-        if known is None or changed is None or child.row_count != self.row_count:
+        if known is None or child.row_count != self.row_count:
+            return child
+        changed = [
+            i for i, (old, new) in enumerate(zip(self.rows, child.rows))
+            if old is not new
+        ]
+        if 2 * len(changed) >= child.row_count:
             return child
         for index in changed:
             known += _row_digest(index, child.rows[index])

@@ -392,6 +392,22 @@ class TestSnapshotWork:
         assert not outputs[1].startswith("warning:")
         assert outputs[2].startswith("warning: fdset 'fs' is stale")
 
+    def test_update_of_most_rows_leaves_the_fingerprint_lazy(self, data_dir, hashed):
+        session = fresh_session(data_dir)
+        run(
+            session,
+            "LOAD 'iowa.csv' AS IOWA",
+            "MINEFD fs AS SELECT LHS -> RHS WHERE LHS LENGTH <= 1 FROM IOWA",
+        )
+        hashed.clear()
+        assert run(session, 'UPDATE IOWA SET "Zip" = 51333') == [
+            "updated 10 rows in IOWA"
+        ]
+        assert hashed == []  # deriving would cost 2 digests per row
+        outputs = run(session, "SELECTDEP * FROM fs")
+        assert sorted(hashed) == list(range(10))
+        assert outputs[0].startswith("warning: fdset 'fs' is stale")
+
 
 class TestImportExport:
     def test_round_trip(self, data_dir, tmp_path):
