@@ -44,21 +44,18 @@ from .fdstore import (
     parse_fdml,
     save_fdset,
 )
-from .miner import (
+from .cfd import (
     CFD,
-    MiningSpec,
-    brute_force_mine,
+    PatternTableau,
     cfd_confidence,
     cfd_support,
-    execute_minefd,
-    mine_fds,
-    parse_minefd,
+    condition_to_tableau,
+    tableau_match_rows,
 )
+from .miner import MiningSpec, execute_minefd, mine_fds, parse_minefd
 from .query import (
     ExtendedSelect,
     FdPredicate,
-    PatternTableau,
-    condition_to_tableau,
     eval_dependent,
     eval_holds,
     eval_not_holds,
@@ -66,7 +63,6 @@ from .query import (
     execute,
     parse_extended_select,
     select_to_text,
-    tableau_match_rows,
 )
 from .cli import Session, render, run_command
 

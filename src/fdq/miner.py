@@ -17,19 +17,17 @@ live, each by one partition product. No level is built past the size
 cap. Validation runs serially and in a fixed order, so the outcome does
 not depend on the requested worker count.
 
-`brute_force_mine` answers the same question by brute force over row
-pairs, with no partitions involved, and exists to cross-check the fast
-path at small scale (intended for relations up to about 10 attributes).
+This module also parses and runs the MINEFD statement. The walk must
+agree with the brute-force reference miner in `tests/oracle.py`.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import ContractError, NameResolutionError, ParameterError
+from .errors import NameResolutionError, ParameterError
 from .fdstore import (
     ErrorLeq,
     FDEntry,
@@ -41,8 +39,7 @@ from .fdstore import (
     canonical_key,
     parse_fdml_condition,
 )
-from .partition import PLI, build_pli, grouped, intersect, pair_errors, value_ids
-from .query import Cell, PatternTableau, cell_matches
+from .partition import PLI, build_pli, intersect, pair_errors
 from .relation import Or, Relation, walk
 from .setexpr import SetExpr, eval_subset_expr, literal_patterns
 from .tokens import TokenStream, statement_parser
@@ -119,7 +116,7 @@ def mine_fds(
     singles = {
         a: build_pli(relation, a) for a in sorted(set(lhs_universe) | set(rhs_universe))
     }
-    ids = {a: value_ids(singles[a]) for a in rhs_universe}
+    ids = {a: singles[a].ids for a in rhs_universe}
     emitted: dict[int, list[frozenset[int]]] = {a: [] for a in rhs_universe}
     entries: list[FDEntry] = []
 
@@ -180,196 +177,6 @@ def mine_fds(
         entries=tuple(entries),
         mined_at=mined_at,
     )
-
-
-def brute_force_mine(
-    relation: Relation,
-    spec: MiningSpec = MiningSpec(),
-    *,
-    name: str = "",
-    mined_at: str = "",
-) -> FDSet:
-    """Reference miner: errors from direct row-pair agreement counting.
-
-    Enumerates every candidate in the filter universe, computes each error
-    straight from agreement bitmasks over all row pairs, then keeps the
-    minimal passing determinants. Quadratic in rows and exponential in
-    attributes; meant for cross-checks at small scale.
-    """
-    n = relation.row_count
-    names = relation.attribute_names
-    width = len(names)
-    lhs_universe = _filter_universe(spec.lhs_filter, relation, "determinant")
-    rhs_universe = _filter_universe(spec.rhs_filter, relation, "dependent")
-
-    # one bitmask per unordered pair: bit a set iff the rows agree on a
-    mask_counts: dict[int, int] = {}
-    rows = relation.rows
-    for i in range(n):
-        for j in range(i + 1, n):
-            mask = 0
-            for a in range(width):
-                if rows[i][a] == rows[j][a]:
-                    mask |= 1 << a
-            mask_counts[mask] = mask_counts.get(mask, 0) + 1
-
-    denominator = n * n - n
-
-    def error_of(lhs_mask: int, rhs_bit: int) -> float:
-        if denominator == 0:
-            return 0.0
-        violating = sum(
-            2 * count
-            for mask, count in mask_counts.items()
-            if mask & lhs_mask == lhs_mask and not mask & rhs_bit
-        )
-        return violating / denominator
-
-    max_size = len(lhs_universe)
-    if spec.max_lhs_len is not None:
-        max_size = min(max_size, spec.max_lhs_len)
-
-    passing: dict[tuple[frozenset[int], int], float] = {}
-    for size in range(1, max_size + 1):
-        for combo in combinations(lhs_universe, size):
-            lhs_mask = 0
-            for a in combo:
-                lhs_mask |= 1 << a
-            for a in rhs_universe:
-                if a in combo:
-                    continue
-                err = error_of(lhs_mask, 1 << a)
-                if err <= spec.error_threshold:
-                    passing[(frozenset(combo), a)] = err
-
-    by_rhs: dict[int, list[tuple[frozenset[int], float]]] = {}
-    for (lhs, a), err in passing.items():
-        by_rhs.setdefault(a, []).append((lhs, err))
-
-    entries = []
-    for a, group in by_rhs.items():
-        group.sort(key=lambda pair: len(pair[0]))
-        minimal: list[frozenset[int]] = []
-        for lhs, err in group:
-            if any(m < lhs for m in minimal):
-                continue
-            minimal.append(lhs)
-            entries.append(
-                FDEntry(
-                    lhs=tuple(sorted(names[i] for i in lhs)),
-                    rhs=names[a],
-                    error=err,
-                    origin=MINED,
-                )
-            )
-    entries.sort(key=canonical_key)
-    return FDSet(
-        name=name,
-        table_binding=relation.name,
-        table_fingerprint=relation.fingerprint,
-        entries=tuple(entries),
-        mined_at=mined_at,
-    )
-
-
-# --- conditional dependencies --------------------------------------------------
-
-@dataclass(frozen=True)
-class CFD:
-    """A dependency embedded with a pattern tableau restricted to it."""
-
-    lhs: tuple[str, ...]
-    rhs: str
-    tableau: PatternTableau
-
-    def __post_init__(self):
-        allowed = set(self.lhs) | {self.rhs}
-        outside = set(self.tableau.attributes) - allowed
-        if outside:
-            raise ContractError(
-                f"tableau touches attributes outside the dependency: {sorted(outside)}"
-            )
-
-
-def _match_cells(row, indexed_cells) -> bool:
-    return all(cell_matches(row[j], cell) for j, cell in indexed_cells)
-
-
-def cfd_support(
-    relation: Relation,
-    lhs: Sequence[str],
-    rhs: str,
-    pattern: Mapping[str, Cell],
-) -> float:
-    """Fraction of rows the single pattern row matches (0.0 on no rows).
-
-    The pattern must cover exactly the dependency's attributes; wildcards
-    are None values, constraints are (op, constant) cells.
-    """
-    expected = set(lhs) | {rhs}
-    if set(pattern) != expected:
-        raise ContractError(
-            f"pattern must cover exactly {sorted(expected)}, got {sorted(pattern)}"
-        )
-    if relation.row_count == 0:
-        return 0.0
-    indexed = [
-        (relation.attribute(a).index, cell)
-        for a, cell in pattern.items()
-        if cell is not None
-    ]
-    matched = sum(1 for row in relation.rows if _match_cells(row, indexed))
-    return matched / relation.row_count
-
-
-def cfd_confidence(relation: Relation, cfd: CFD) -> float:
-    """Largest fraction of rows keepable so the conditional dependency holds.
-
-    Rows are grouped by the full determinant. A group matched by no
-    pattern row is kept whole. A matched group keeps the rows of its most
-    frequent dependent value among values compatible with every matching
-    pattern's dependent cell; if no value is compatible the group drops
-    entirely. An empty relation scores 1.0.
-    """
-    n = relation.row_count
-    if n == 0:
-        return 1.0
-    lhs_idx = [relation.attribute(a).index for a in cfd.lhs]
-    rhs_idx = relation.attribute(cfd.rhs).index
-    tab_idx = [relation.attribute(a).index for a in cfd.tableau.attributes]
-    lhs_cells_per_pattern = []
-    rhs_cell_per_pattern: list[Cell] = []
-    for pattern in cfd.tableau.rows:
-        lhs_cells = []
-        rhs_cell: Cell = None
-        for j, cell in zip(tab_idx, pattern):
-            if j == rhs_idx:
-                rhs_cell = cell
-            else:
-                lhs_cells.append((j, cell))
-        lhs_cells_per_pattern.append(lhs_cells)
-        rhs_cell_per_pattern.append(rhs_cell)
-
-    kept = 0
-    for rows_in_group in grouped(relation, lhs_idx).values():
-        sample = relation.rows[rows_in_group[0]]
-        matched_patterns = [
-            p for p, cells in enumerate(lhs_cells_per_pattern)
-            if _match_cells(sample, cells)
-        ]
-        if not matched_patterns:
-            kept += len(rows_in_group)
-            continue
-        counts: dict = {}
-        for i in rows_in_group:
-            value = relation.rows[i][rhs_idx]
-            if all(
-                cell_matches(value, rhs_cell_per_pattern[p]) for p in matched_patterns
-            ):
-                counts[value] = counts.get(value, 0) + 1
-        if counts:
-            kept += max(counts.values())
-    return kept / n
 
 
 # --- the MINEFD statement --------------------------------------------------------

@@ -56,7 +56,8 @@ class PLI:
     def ids(self) -> list[int]:
         """Per-row value id in [0, n): the smallest row of the row's
         cluster, or the row itself outside every cluster. Built on first
-        read and kept, so each partition builds it at most once."""
+        read and kept, so each partition builds it at most once; callers
+        share the list, so they only read it."""
         ids = list(range(self.relation_size))
         for cluster in self.clusters:
             first = cluster[0]
@@ -146,12 +147,6 @@ def intersect(a: PLI, b: PLI) -> PLI:
     # earlier cluster's part
     out.sort(key=itemgetter(0))
     return PLI(tuple(out), a.relation_size)
-
-
-def value_ids(pli: PLI) -> list[int]:
-    """Per-row value ids of a partition (see `PLI.ids`); the list is
-    shared, so callers only read it."""
-    return pli.ids
 
 
 STAGE_ROWS = 64
@@ -257,5 +252,5 @@ def error_measure(
         if not indices:
             raise ContractError("error measure needs a non-empty scope")
     lhs_pli = pli_of(relation, sorted(cand.lhs), indices)
-    rhs_ids = value_ids(pli_of(relation, [cand.rhs], indices))
+    rhs_ids = pli_of(relation, [cand.rhs], indices).ids
     return pair_errors(lhs_pli, [rhs_ids], len(indices), bound)[0]

@@ -1,4 +1,4 @@
-"""Extended SELECT: row queries with dependency predicates.
+"""Extended SELECT: parse, print and run row queries with dependency predicates.
 
 HOLDS keeps the rows on which a dependency is intact, NOT HOLDS keeps the
 witnesses against it, VIOLATES flags suspect values that sit close to a
@@ -27,8 +27,6 @@ from .relation import (
     Relation,
     RowPredicate,
     Value,
-    check_comparable,
-    compare_values,
     condition_to_text,
     eval_condition,
     eval_row_predicate,
@@ -40,26 +38,6 @@ from .result import ResultTable
 from .tokens import Token, TokenStream, is_kw, statement_parser
 
 DEFAULT_VIOLATION_THRESHOLD = 0.75
-
-Cell = Union[None, tuple]  # None is a wildcard; otherwise (op, constant)
-
-
-@dataclass(frozen=True)
-class PatternTableau:
-    """Rows of per-attribute cells; a cell is a wildcard or (op, constant)."""
-
-    attributes: tuple[str, ...]
-    rows: tuple[tuple[Cell, ...], ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ContractError("a tableau needs at least one row")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise ContractError("duplicate attribute in tableau")
-        for row in self.rows:
-            if len(row) != len(self.attributes):
-                raise ContractError("tableau row arity mismatch")
-
 
 @dataclass(frozen=True)
 class FdPredicate:
@@ -530,9 +508,7 @@ def eval_dependent(
     outside = [meta.index for meta in relation.schema if meta.index not in x]
     # partition functions are looked up at call time, so the benchmark's
     # tracer, which swaps fdq.partition.pli_of, counts these groupings
-    ids = {
-        a: partition.value_ids(partition.pli_of(relation, [a])) for a in outside
-    }
+    ids = {a: partition.pli_of(relation, [a]).ids for a in outside}
 
     def passing(lhs: list[int], candidates: list[int]) -> set[int]:
         pli = partition.pli_of(relation, lhs)
@@ -591,96 +567,3 @@ def execute(ast: ExtendedSelect, relation: Relation) -> ResultTable:
     )
     return ResultTable(tuple(names), rows)
 
-
-# --- pattern tableaus ---------------------------------------------------------
-
-_FLIP = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
-
-
-def _push_negations(node, negate: bool):
-    if isinstance(node, Comparison):
-        if not negate:
-            return node
-        return Comparison(node.attribute, _FLIP[node.op], node.constant)
-    if isinstance(node, And):
-        items = tuple(_push_negations(i, negate) for i in node.items)
-        return Or(items) if negate else And(items)
-    if isinstance(node, Or):
-        items = tuple(_push_negations(i, negate) for i in node.items)
-        return And(items) if negate else Or(items)
-    if isinstance(node, Not):
-        return _push_negations(node.item, not negate)
-    raise ContractError("tableau conversion accepts row conditions only")
-
-
-def _dnf(node) -> list[list[Comparison]]:
-    if isinstance(node, Comparison):
-        return [[node]]
-    if isinstance(node, And):
-        branches: list[list[Comparison]] = [[]]
-        for item in node.items:
-            branches = [b + extra for b in branches for extra in _dnf(item)]
-        return branches
-    if isinstance(node, Or):
-        out: list[list[Comparison]] = []
-        for item in node.items:
-            out.extend(_dnf(item))
-        return out
-    raise ContractError("tableau conversion accepts row conditions only")
-
-
-def condition_to_tableau(
-    condition: RowPredicate,
-    lhs: Sequence[str],
-    rhs: str,
-    relation: Relation,
-) -> PatternTableau:
-    """Compile a scope condition into pattern rows over lhs plus rhs.
-
-    Each disjunct of the condition's disjunctive normal form becomes one
-    row. Negations flip comparison operators, which treats missing values
-    as unmatched on both sides. Atoms must stay within lhs and rhs, and a
-    disjunct may constrain an attribute only once; either violation is an
-    error because the cell shape cannot express it.
-    """
-    attributes = tuple(dict.fromkeys(list(lhs) + [rhs]))
-    for name in attributes:
-        relation.attribute(name)
-    allowed = set(attributes)
-    rows = []
-    for branch in _dnf(_push_negations(condition, False)):
-        cells: dict[str, tuple] = {}
-        for atom in branch:
-            if atom.attribute not in allowed:
-                raise ContractError(
-                    f"condition touches {atom.attribute!r}, outside the dependency"
-                )
-            check_comparable(relation.attribute(atom.attribute).kind, atom.constant)
-            cell = (atom.op, atom.constant)
-            if cells.get(atom.attribute, cell) != cell:
-                raise ContractError(
-                    f"two constraints on {atom.attribute!r} in one branch"
-                )
-            cells[atom.attribute] = cell
-        rows.append(tuple(cells.get(a) for a in attributes))
-    unique_rows = tuple(dict.fromkeys(rows))
-    return PatternTableau(attributes, unique_rows)
-
-
-def cell_matches(value: Value, cell: Cell) -> bool:
-    if cell is None:
-        return True
-    op, constant = cell
-    return compare_values(value, op, constant)
-
-
-def tableau_match_rows(relation: Relation, tableau: PatternTableau) -> set[int]:
-    """Rows matched by at least one pattern row."""
-    indexes = [relation.attribute(a).index for a in tableau.attributes]
-    out = set()
-    for i, row in enumerate(relation.rows):
-        for pattern in tableau.rows:
-            if all(cell_matches(row[j], c) for j, c in zip(indexes, pattern)):
-                out.add(i)
-                break
-    return out

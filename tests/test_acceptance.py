@@ -12,22 +12,14 @@ import random
 import time
 
 import test_properties
+from oracle import brute_force_mine
 
+from fdq.cfd import CFD, PatternTableau, cfd_confidence, cfd_support
 from fdq.cli import Session, run_repl
 from fdq.fdstore import dumps_fdset, eval_fdml, parse_fdml
-from fdq.miner import (
-    CFD,
-    MiningSpec,
-    brute_force_mine,
-    cfd_confidence,
-    cfd_support,
-    execute_minefd,
-    mine_fds,
-    parse_minefd,
-)
+from fdq.miner import MiningSpec, execute_minefd, mine_fds, parse_minefd
 from fdq.partition import FDCandidate, error_measure, fd_holds
 from fdq.query import (
-    PatternTableau,
     eval_dependent,
     eval_holds,
     eval_not_holds,

@@ -616,7 +616,7 @@ class TestScriptsAndRepl:
             (text, last), base = self.INLINE[script], data_dir
         else:
             text = (REPO / "demos" / f"{script}.fdq").read_text(encoding="utf-8")
-            text = text.replace("/tmp/iowa-after.fdset", str(tmp_path / "after.fdset"))
+            text = text.replace("iowa-after.fdset", str(tmp_path / "after.fdset"))
             last, base = "", REPO
         executed = io.StringIO()
         assert run_script(fresh_session(base), text, out=executed) == 0

@@ -1,4 +1,5 @@
 import pytest
+from oracle import brute_force_mine
 
 import fdq.fdstore
 from fdq.errors import (
@@ -27,7 +28,7 @@ from fdq.fdstore import (
     parse_fdml,
     save_fdset,
 )
-from fdq.miner import brute_force_mine, mine_fds
+from fdq.miner import mine_fds
 from fdq.relation import And, Or
 from fdq.setexpr import (
     AllOf,

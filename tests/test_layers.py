@@ -1,0 +1,51 @@
+"""The package's modules form layers: each imports only earlier ones.
+
+`cfd` sits below `miner` and `query`, so the miner reaches conditional
+dependencies without the query layer, and `query` may call the miner.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fdq"
+LAYERS = [
+    "errors", "tokens", "result", "relation", "setexpr", "partition",
+    "fdstore", "cfd", "miner", "query", "cli",
+]
+ENTRY_POINTS = {"__init__", "__main__"}
+
+
+def package_imports(path: pathlib.Path) -> set[str]:
+    """Sibling modules a file imports, relatively or as `fdq.<name>`."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("fdq."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("fdq.")
+            )
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert modules - ENTRY_POINTS == set(LAYERS)
+
+
+def test_modules_import_only_earlier_layers():
+    upward = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in LAYERS:
+            earlier = set(LAYERS[: LAYERS.index(path.stem)])
+            later = sorted(package_imports(path) - earlier)
+            if later:
+                upward[path.stem] = later
+    assert upward == {}

@@ -2,22 +2,14 @@ import logging
 from functools import cached_property
 
 import pytest
+from oracle import brute_force_mine
 
 import fdq.miner
+from fdq.cfd import CFD, PatternTableau, cfd_confidence, cfd_support
 from fdq.errors import ContractError, NameResolutionError, ParameterError, ParseError
 from fdq.fdstore import FDEntry
-from fdq.miner import (
-    CFD,
-    MiningSpec,
-    brute_force_mine,
-    cfd_confidence,
-    cfd_support,
-    execute_minefd,
-    mine_fds,
-    parse_minefd,
-)
+from fdq.miner import MiningSpec, execute_minefd, mine_fds, parse_minefd
 from fdq.partition import PLI
-from fdq.query import PatternTableau
 from fdq.relation import Relation, load_csv
 from fdq.setexpr import GlobList
 

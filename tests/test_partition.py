@@ -11,7 +11,6 @@ from fdq.partition import (
     error_measure,
     fd_holds,
     pair_errors,
-    value_ids,
 )
 from fdq.partition import build_pli as _build_pli
 from fdq.partition import intersect as _intersect
@@ -208,7 +207,7 @@ class TestPairErrors:
     def scored(self, column, bound):
         rel = Relation.build("t", [(n, "integer") for n in "XABC"], self.ROWS)
         pli = build_pli(rel, 0)
-        ids = CountingIds(value_ids(build_pli(rel, column)))
+        ids = CountingIds(build_pli(rel, column).ids)
         (error,) = pair_errors(pli, [ids], 400, bound)
         return pli, error, ids.reads
 

@@ -10,9 +10,18 @@ from unittest import mock
 
 from canonical import assert_canonical
 from hypothesis import example, given, settings, strategies as st
+from oracle import brute_force_mine
 
 import fdq.partition
 import fdq.query
+from fdq.cfd import (
+    CFD,
+    PatternTableau,
+    cfd_confidence,
+    cfd_support,
+    condition_to_tableau,
+    tableau_match_rows,
+)
 from fdq.cli import Session, run_command
 from fdq.fdstore import (
     ErrorLeq,
@@ -30,14 +39,7 @@ from fdq.fdstore import (
     loads_fdset,
     parse_fdml,
 )
-from fdq.miner import (
-    CFD,
-    MiningSpec,
-    brute_force_mine,
-    cfd_confidence,
-    cfd_support,
-    mine_fds,
-)
+from fdq.miner import MiningSpec, mine_fds
 from fdq.partition import (
     FDCandidate,
     error_measure,
@@ -46,16 +48,13 @@ from fdq.partition import (
     intersect,
     pair_errors,
     pli_of,
-    value_ids,
 )
 from fdq.query import (
     ColumnProjection,
     DependentProjection,
     ExtendedSelect,
     FdPredicate,
-    PatternTableau,
     StarProjection,
-    condition_to_tableau,
     eval_dependent,
     eval_holds,
     eval_not_holds,
@@ -63,7 +62,6 @@ from fdq.query import (
     execute,
     parse_extended_select,
     select_to_text,
-    tableau_match_rows,
     value_distance,
 )
 from fdq.relation import (
@@ -549,7 +547,7 @@ def test_staged_pair_errors_decide_like_the_full_count(case, data):
     dependents = [m.index for m in relation.schema if m.index not in lhs]
     pli = assert_canonical(pli_of(relation, lhs, scope))
     ids = [
-        value_ids(assert_canonical(pli_of(relation, [a], scope))) for a in dependents
+        assert_canonical(pli_of(relation, [a], scope)).ids for a in dependents
     ]
     exact = unstaged_pair_errors(pli, ids, len(scope))
     # 0, a small bound, or a tie with one of the exact errors

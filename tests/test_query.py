@@ -4,6 +4,7 @@ from decimal import Decimal
 import pytest
 
 import fdq.query
+from fdq.cfd import PatternTableau, condition_to_tableau, tableau_match_rows
 from fdq.errors import (
     ContractError,
     KindMismatchError,
@@ -16,9 +17,7 @@ from fdq.query import (
     DependentProjection,
     ExtendedSelect,
     FdPredicate,
-    PatternTableau,
     StarProjection,
-    condition_to_tableau,
     eval_dependent,
     eval_holds,
     eval_not_holds,
@@ -26,7 +25,6 @@ from fdq.query import (
     execute,
     parse_extended_select,
     select_to_text,
-    tableau_match_rows,
     value_distance,
 )
 from fdq.relation import And, Comparison, Not, Or, Relation, TRUE
