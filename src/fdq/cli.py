@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
+from itertools import repeat, starmap
 from typing import Callable
 
 from .errors import (
@@ -100,16 +101,35 @@ def render(table: ResultTable, mode: str = "table") -> str:
     raise ValueError(f"unknown output mode {mode!r}")
 
 
+def _column_texts(table: ResultTable) -> list[list[str]]:
+    """The text of every cell, one list per column, by `format_cell`."""
+    if not table.rows:
+        return [[] for _ in table.columns]
+    texts = []
+    for column in zip(*table.rows):
+        text = list(map(str, column))
+        # str gives "None" for a null; scanning the texts for it is cheaper
+        # than scanning the cells, where Decimal's == against None is slow
+        texts.append(list(map(format_cell, column)) if "None" in text else text)
+    return texts
+
+
+def _text_rows(columns: list[list[str]], count: int):
+    """The rows across per-column lists; `count` empty rows if no column."""
+    return zip(*columns) if columns else repeat((), count)
+
+
 def _render_grid(table: ResultTable) -> str:
-    cells = [list(table.columns)] + [
-        [format_cell(v) for v in row] for row in table.rows
+    texts = _column_texts(table)
+    widths = [
+        max(len(name), max(map(len, column), default=0))
+        for name, column in zip(table.columns, texts)
     ]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(table.columns))]
-    lines = [" | ".join(c.ljust(w) for c, w in zip(cells[0], widths)).rstrip()]
-    lines.append("-+-".join("-" * w for w in widths))
-    for row in cells[1:]:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    # every line is stripped on the right, so the last column needs no padding
+    fmt = " | ".join([f"{{:<{w}}}" for w in widths[:-1]] + ["{}"]) if widths else ""
     n = len(table.rows)
+    lines = [fmt.format(*table.columns).rstrip(), "-+-".join("-" * w for w in widths)]
+    lines += map(str.rstrip, starmap(fmt.format, _text_rows(texts, n)))
     lines.append(f"({n} row)" if n == 1 else f"({n} rows)")
     return "\n".join(lines)
 
@@ -121,25 +141,21 @@ def _csv_field(text: str) -> str:
 
 
 def _render_csv(table: ResultTable) -> str:
-    lines = [",".join(_csv_field(c) for c in table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_csv_field(format_cell(v)) for v in row))
+    fields = [list(map(_csv_field, column)) for column in _column_texts(table)]
+    lines = [",".join(map(_csv_field, table.columns))]
+    lines += map(",".join, _text_rows(fields, len(table.rows)))
     return "\r\n".join(lines)
 
 
 def _render_records(table: ResultTable) -> str:
     if not table.rows:
         return "(0 rows)"
-    width = max(len(c) for c in table.columns)
-    blocks = []
-    for row in table.rows:
-        blocks.append(
-            "\n".join(
-                f"{c.ljust(width)}: {format_cell(v)}"
-                for c, v in zip(table.columns, row)
-            )
-        )
-    return "\n\n".join(blocks)
+    width = max(map(len, table.columns), default=0)
+    labelled = [
+        list(map(f"{name.ljust(width)}: ".__add__, column))
+        for name, column in zip(table.columns, _column_texts(table))
+    ]
+    return "\n\n".join(map("\n".join, _text_rows(labelled, len(table.rows))))
 
 
 # --- statement splitting ----------------------------------------------------------

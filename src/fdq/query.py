@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from decimal import Decimal
+from operator import itemgetter
 from typing import Sequence, Union
 
 from .errors import ContractError, ParameterError, ParseError
@@ -550,10 +551,11 @@ def execute(ast: ExtendedSelect, relation: Relation) -> ResultTable:
     the WHERE tree is pure set algebra over the resulting row sets, so
     predicate order never matters. Output rows keep the table's row order.
     """
-    kept = range(relation.row_count)
+    rows = relation.rows
     if ast.where is not None:
         leaf = partial(_where_leaf_rows, relation)
-        kept = sorted(eval_condition(ast.where, leaf, kept))
+        kept = sorted(eval_condition(ast.where, leaf, range(relation.row_count)))
+        rows = tuple(map(rows.__getitem__, kept))
     projection = ast.projection
     if isinstance(projection, StarProjection):
         names = list(relation.attribute_names)
@@ -562,8 +564,14 @@ def execute(ast: ExtendedSelect, relation: Relation) -> ResultTable:
     else:
         names = eval_dependent(relation, projection.attributes, projection.error)
     indexes = _resolve(relation, names)
-    rows = tuple(
-        tuple(relation.rows[i][j] for j in indexes) for i in kept
-    )
+    if indexes == list(range(len(relation.schema))):
+        # every column in schema order: the stored row tuples themselves
+        return ResultTable(tuple(names), rows)
+    if len(indexes) > 1:
+        rows = tuple(map(itemgetter(*indexes), rows))
+    elif indexes:
+        rows = tuple(zip(map(itemgetter(indexes[0]), rows)))
+    else:
+        rows = ((),) * len(rows)
     return ResultTable(tuple(names), rows)
 

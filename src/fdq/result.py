@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 
 
 @dataclass(frozen=True)
@@ -12,17 +11,11 @@ class ResultTable:
     rows: tuple[tuple, ...]
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row arity does not match columns")
+        if not set(map(len, self.rows)) <= {len(self.columns)}:
+            raise ValueError("row arity does not match columns")
 
 
 def format_cell(value) -> str:
-    """Deterministic text form of a cell. None renders empty."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, Decimal):
-        return str(value)
-    return str(value)
+    """Deterministic text form of a cell. None renders empty; a float's
+    str is its repr, so it reads back as the same float."""
+    return "" if value is None else str(value)
