@@ -13,9 +13,10 @@ candidate is skipped once a smaller determinant for the same dependent
 has been emitted, so only minimal dependencies surface. A node whose
 every dependent is settled that way is dead: no superset can yield a
 candidate, so level k+1 builds only the nodes whose k-subsets are all
-live, each by one partition product. No level is built past the size
-cap. Validation runs serially and in a fixed order, so the outcome does
-not depend on the requested worker count.
+live, each by one partition product: the smallest of those subsets split
+by the attribute it lacks. No level is built past the size cap.
+Validation runs serially and in a fixed order, so the outcome does not
+depend on the requested worker count.
 
 This module also parses and runs the MINEFD statement. The walk must
 agree with the brute-force reference miner in `tests/oracle.py`.
@@ -164,8 +165,13 @@ def mine_fds(
                 if last <= base[-1]:
                     continue
                 node = base + (last,)
-                if all(node[:i] + node[i + 1:] in live_set for i in range(size)):
-                    next_level[node] = intersect(level[base], singles[last])
+                subsets = [node[:i] + node[i + 1:] for i in range(size + 1)]
+                if all(subset in live_set for subset in subsets):
+                    # every subset gives the same product, at a cost linear
+                    # in the rows it covers: split the smallest (the first
+                    # of equals) by the one attribute it lacks
+                    _, i = min((level[s].covered, i) for i, s in enumerate(subsets))
+                    next_level[node] = intersect(level[subsets[i]], singles[node[i]])
         level = next_level
         size += 1
 

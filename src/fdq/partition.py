@@ -13,6 +13,13 @@ exactly when the dependency holds. For n <= 1 the denominator degenerates
 and the error is defined as 0. The miner, approximate HOLDS and DEPENDENT
 all score through `pair_errors`, which never builds the X u {A} partition.
 
+Each snapshot keeps the whole-table partition of every single attribute
+once it is built (`build_pli`), and the partition of an attribute set,
+over all rows or an ON scope, is built from those (`partition_of`): the
+single covering the fewest rows, cut to the scope, split by the others'
+value ids. Only singles are kept, never products or scoped partitions,
+so a snapshot holds at most one partition per attribute.
+
 Every caller asks whether the error is within a bound, so `pair_errors`
 counts violating pairs in stages of whole clusters, the first of at
 least STAGE_ROWS rows and each later one about twice the one before,
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from math import inf
-from operator import add, itemgetter, mul
+from operator import add, attrgetter, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError
@@ -48,9 +55,9 @@ class PLI:
     clusters: tuple[tuple[int, ...], ...]
     relation_size: int
 
-    @property
+    @cached_property
     def covered(self) -> int:
-        return sum(len(c) for c in self.clusters)
+        return sum(map(len, self.clusters))
 
     @cached_property
     def ids(self) -> list[int]:
@@ -89,7 +96,7 @@ def grouped(
     within each group, groups in order of their smallest row."""
     rows = relation.rows
     if scope is None:
-        indices: Sequence[int] = range(len(rows))
+        indices: Sequence[int] = relation.row_numbers
         picked = rows
     else:
         indices = sorted(scope)
@@ -121,28 +128,70 @@ def pli_of(
 
 
 def build_pli(relation: Relation, attribute: int) -> PLI:
-    """Stripped partition of one attribute over the whole relation."""
+    """Stripped partition of one attribute over the whole relation.
+
+    Kept on the snapshot: the first request builds it with `pli_of`, later
+    ones read it, and `Relation.with_rows` passes it on to a child whose
+    edit left the attribute equal on every changed row.
+    """
     if not 0 <= attribute < len(relation.schema):
         raise ContractError(f"attribute index {attribute} out of range")
-    return pli_of(relation, [attribute])
+    kept = relation.partitions
+    pli = kept.get(attribute)
+    if pli is None:
+        pli = kept[attribute] = pli_of(relation, [attribute])
+    return pli
+
+
+def partition_of(
+    relation: Relation, attrs: Sequence[int], scope: Iterable[int] | None = None
+) -> PLI:
+    """Stripped partition of `attrs` over the scope (default: all rows),
+    equal to `pli_of`'s, from the snapshot's kept single-attribute
+    partitions: the one covering the fewest rows, cut to the scope, then
+    split by each other one in turn. The result itself is not kept."""
+    if not attrs:
+        return pli_of(relation, attrs, scope)
+    singles = sorted(
+        {a: build_pli(relation, a) for a in attrs}.values(), key=attrgetter("covered")
+    )
+    pli = singles[0] if scope is None else _restrict(singles[0], scope)
+    for other in singles[1:]:
+        pli = intersect(pli, other)
+    return pli
+
+
+def _restrict(pli: PLI, scope: Iterable[int]) -> PLI:
+    """The partition over the scope rows only: each cluster cut to them."""
+    inside = set(scope)
+    parts = (tuple(filter(inside.__contains__, c)) for c in pli.clusters)
+    # a cut can drop a cluster's smallest row and move it past the next one
+    clusters = sorted((c for c in parts if len(c) >= 2), key=itemgetter(0))
+    return PLI(tuple(clusters), pli.relation_size)
 
 
 def intersect(a: PLI, b: PLI) -> PLI:
     """Partition product: each cluster of `a` split by `b`'s value ids.
 
     Runs in time linear in the covered rows of `a`, once `b`'s ids exist;
-    the miner passes a single-attribute partition as `b`, whose ids are
-    built once per mining call.
+    callers pass a single-attribute partition as `b`, whose ids are built
+    once per snapshot. A cluster whose rows share one id, or all differ,
+    is kept or dropped whole after counting its ids, without bucketing.
     """
     if a.relation_size != b.relation_size:
         raise ContractError("cannot intersect partitions of different relations")
     ids = b.ids
+    id_of = ids.__getitem__
     out: list[tuple[int, ...]] = []
     for cluster in a.clusters:
-        buckets: dict[int, list[int]] = {}
-        for row in cluster:
-            buckets.setdefault(ids[row], []).append(row)
-        out.extend(tuple(g) for g in buckets.values() if len(g) >= 2)
+        distinct = len(set(map(id_of, cluster)))
+        if distinct == 1:
+            out.append(cluster)
+        elif distinct < len(cluster):
+            buckets: dict[int, list[int]] = {}
+            for row in cluster:
+                buckets.setdefault(ids[row], []).append(row)
+            out.extend(tuple(g) for g in buckets.values() if len(g) >= 2)
     # a later cluster of `a` can split off a part that starts before an
     # earlier cluster's part
     out.sort(key=itemgetter(0))
@@ -213,15 +262,15 @@ def violating_rows(
     rhs: int,
     scope: Iterable[int] | None = None,
 ) -> set[int]:
-    """Rows inside lhs-clusters that disagree on rhs (the witnesses)."""
+    """Rows inside lhs-clusters that disagree on rhs (the witnesses): the
+    clusters whose rows hold more than one rhs value, read from the rows,
+    so no partition of rhs is built."""
     rows = relation.rows
+    value = itemgetter(rhs)
     bad: set[int] = set()
-    for group in grouped(relation, lhs, scope).values():
-        if len(group) < 2:
-            continue
-        values = {rows[i][rhs] for i in group}
-        if len(values) > 1:
-            bad.update(group)
+    for cluster in partition_of(relation, lhs, scope).clusters:
+        if len(set(map(value, map(rows.__getitem__, cluster)))) > 1:
+            bad.update(cluster)
     return bad
 
 
@@ -245,12 +294,12 @@ def error_measure(
 ) -> float:
     """Violating ordered pairs / all ordered pairs, within the scope; exact
     when within `bound`, otherwise some value past it (see `pair_errors`)."""
-    if scope is None:
-        indices: Sequence[int] = range(relation.row_count)
-    else:
-        indices = sorted(scope)
-        if not indices:
+    if scope is not None:
+        scope = set(scope)
+        if not scope:
             raise ContractError("error measure needs a non-empty scope")
-    lhs_pli = pli_of(relation, sorted(cand.lhs), indices)
-    rhs_ids = pli_of(relation, [cand.rhs], indices).ids
-    return pair_errors(lhs_pli, [rhs_ids], len(indices), bound)[0]
+    size = relation.row_count if scope is None else len(scope)
+    lhs_pli = partition_of(relation, sorted(cand.lhs), scope)
+    # value ids over the whole table tell the scope's values apart as well
+    rhs_ids = build_pli(relation, cand.rhs).ids
+    return pair_errors(lhs_pli, [rhs_ids], size, bound)[0]

@@ -17,8 +17,14 @@ from operator import itemgetter
 from typing import Sequence, Union
 
 from .errors import ContractError, ParameterError, ParseError
-from . import partition
-from .partition import FDCandidate, error_measure, grouped, violating_rows
+from .partition import (
+    FDCandidate,
+    build_pli,
+    error_measure,
+    pair_errors,
+    partition_of,
+    violating_rows,
+)
 from .relation import (
     COMPARISON_OPS,
     And,
@@ -340,6 +346,8 @@ def eval_holds(
     back, otherwise nothing does. Without witnesses the error is 0, so it
     is measured only when there are some.
     """
+    if error is not None and not 0.0 <= error < 1.0:
+        raise ParameterError(f"error bound {error} outside [0, 1)")
     lhs_idx = _resolve(relation, lhs)
     rhs_idx = relation.attribute(rhs).index
     scope = _scope_rows(relation, on_condition)
@@ -348,8 +356,6 @@ def eval_holds(
     bad = violating_rows(relation, lhs_idx, rhs_idx, scope)
     if error is None:
         return set(scope) - bad
-    if not 0.0 <= error < 1.0:
-        raise ParameterError(f"error bound {error} outside [0, 1)")
     if not bad:  # also covers a trivial candidate, dependent inside the determinant
         return set(scope)
     measured = error_measure(
@@ -464,9 +470,10 @@ def eval_violates(
     ] + [relation.attribute(rhs).index]
     rows = relation.rows
     result: set[int] = set()
-    for group in grouped(relation, group_attrs).values():
-        # distinct values in row order, so the distances computed before
-        # the first close sibling is found do not depend on string hashing
+    # a group of one row has one value, so the stripped partition has them all
+    for group in partition_of(relation, group_attrs).clusters:
+        # distinct values in row order, so the distances computed do not
+        # depend on string hashing
         values = [
             v
             for v in dict.fromkeys(rows[i][suspect_meta.index] for i in group)
@@ -474,15 +481,15 @@ def eval_violates(
         ]
         if len(values) < 2:
             continue
-        close = {
-            v
-            for v in values
-            if any(
-                value_distance(v, o, kind, threshold) <= threshold
-                for o in values
-                if o != v
-            )
-        }
+        # the distance is symmetric, so each unordered pair is scored once,
+        # and only while one of its two values is not yet known to be close
+        close: set = set()
+        for j, v in enumerate(values):
+            for o in values[j + 1:]:
+                if (v not in close or o not in close) and value_distance(
+                    v, o, kind, threshold
+                ) <= threshold:
+                    close.update((v, o))
         result.update(
             i for i in group if rows[i][suspect_meta.index] in close
         )
@@ -507,13 +514,11 @@ def eval_dependent(
     x = sorted(set(_resolve(relation, attributes)))
     n = relation.row_count
     outside = [meta.index for meta in relation.schema if meta.index not in x]
-    # partition functions are looked up at call time, so the benchmark's
-    # tracer, which swaps fdq.partition.pli_of, counts these groupings
-    ids = {a: partition.pli_of(relation, [a]).ids for a in outside}
+    ids = {a: build_pli(relation, a).ids for a in outside}
 
     def passing(lhs: list[int], candidates: list[int]) -> set[int]:
-        pli = partition.pli_of(relation, lhs)
-        errors = partition.pair_errors(pli, [ids[a] for a in candidates], n, bound)
+        pli = partition_of(relation, lhs)
+        errors = pair_errors(pli, [ids[a] for a in candidates], n, bound)
         return {a for a, err in zip(candidates, errors) if err <= bound}
 
     qualifying = sorted(passing(x, outside))

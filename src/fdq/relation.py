@@ -15,6 +15,11 @@ neither mine nor check a stored dependency set never pay for it, and a
 snapshot derived by `with_rows` from a parent whose fingerprint is known
 updates it by the changed rows alone when fewer than half the rows
 changed.
+
+A snapshot also keeps what the partition layer built for each of its
+attributes, in `partitions`. This module treats those values as opaque;
+`with_rows` hands one to the child snapshot when every changed row is
+equal on its attribute, since equal values group the same way.
 """
 
 from __future__ import annotations
@@ -72,6 +77,21 @@ class Relation:
         rows = self.rows
         total = _header_digest(self.schema, len(rows))
         return (total + sum(map(_row_digest, range(len(rows)), rows))) % _MODULUS
+
+    @cached_property
+    def row_numbers(self) -> tuple[int, ...]:
+        """The row indexes 0..n-1, made once per snapshot and passed on by
+        `with_rows`, so that the partitions kept over a snapshot and its
+        children share one int object per row instead of making their
+        own. Not a field, so equality and hashing ignore it."""
+        return tuple(range(len(self.rows)))
+
+    @cached_property
+    def partitions(self) -> dict[int, object]:
+        """Attribute index -> the partition layer's value for it over the
+        whole snapshot, filled by that layer. Not a field, so equality and
+        hashing ignore it."""
+        return {}
 
     @staticmethod
     def build(
@@ -133,21 +153,31 @@ class Relation:
         """New snapshot with the same schema and replaced rows.
 
         Rows passed through unchanged keep their identity, so the rows that
-        may differ are those that are not the parent's row objects. When a
-        fingerprint was already read here and fewer than half the rows
-        differ, the new snapshot's is derived from those rows alone;
-        otherwise the new snapshot computes its own when read, which costs
-        no more.
+        may differ are those that are not the parent's row objects. Kept
+        partitions of attributes that every such row leaves equal pass to
+        the child, with the row numbers they are made of. When a fingerprint was already read here and fewer than
+        half the rows differ, the new snapshot's is derived from those rows
+        alone; otherwise the new snapshot computes its own when read, which
+        costs no more.
         """
         child = Relation(self.name, self.schema, tuple(tuple(r) for r in rows))
-        known = self.__dict__.get("fingerprint")  # where cached_property keeps it
-        if known is None or child.row_count != self.row_count:
+        # where cached_property keeps what was read
+        known = self.__dict__.get("fingerprint")
+        kept = self.__dict__.get("partitions")
+        if (known is None and not kept) or child.row_count != self.row_count:
             return child
         changed = [
             i for i, (old, new) in enumerate(zip(self.rows, child.rows))
             if old is not new
         ]
-        if 2 * len(changed) >= child.row_count:
+        if kept:
+            old_rows, new_rows = self.rows, child.rows
+            child.__dict__["partitions"] = {
+                a: value for a, value in kept.items()
+                if all(old_rows[i][a] == new_rows[i][a] for i in changed)
+            }
+            child.__dict__["row_numbers"] = self.row_numbers
+        if known is None or 2 * len(changed) >= child.row_count:
             return child
         for index in changed:
             known += _row_digest(index, child.rows[index])

@@ -9,6 +9,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fdq.partition
 import fdq.relation
 from fdq.cli import (
     QuitRequested,
@@ -407,6 +408,63 @@ class TestSnapshotWork:
         outputs = run(session, "SELECTDEP * FROM fs")
         assert sorted(hashed) == list(range(10))
         assert outputs[0].startswith("warning: fdset 'fs' is stale")
+
+
+class TestPartitionWork:
+    """Deterministic work counters for the partitions a snapshot keeps: the
+    attribute sets grouped per statement, counted by wrapping `pli_of`,
+    which builds every partition that is not kept yet."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        attrs = []
+        real = fdq.partition.pli_of
+
+        def counting(relation, columns, scope=None):
+            attrs.append(tuple(relation.attribute_names[a] for a in columns))
+            return real(relation, columns, scope)
+
+        monkeypatch.setattr(fdq.partition, "pli_of", counting)
+        return attrs
+
+    def test_holds_then_not_holds_groups_each_column_once(self, data_dir, built):
+        session = fresh_session(data_dir)
+        run(
+            session,
+            "LOAD 'iowa.csv' AS IOWA",
+            'SELECT * FROM IOWA WHERE HOLDS ("Address", "Vendor" -> "Zip")',
+            'SELECT * FROM IOWA WHERE NOT HOLDS ("Address", "Vendor" -> "Zip")',
+            'SELECT * FROM IOWA WHERE NOT HOLDS ("Vendor" -> "Zip" ON ["Pack" = 12])',
+        )
+        # the witnesses read Zip's values, so Zip is never grouped
+        assert built == [("Address",), ("Vendor",)]
+
+    @pytest.mark.parametrize("on", ["", ' ON ["Sale" < 200]'], ids=["whole", "scoped"])
+    def test_approximate_holds_groups_x_and_a_once(self, data_dir, built, on):
+        session = fresh_session(data_dir)
+        statement = (
+            'SELECT "Category" FROM IOWA WHERE '
+            f'HOLDS ("Category" -> "CategoryName"{on}, ERROR = 0.05)'
+        )
+        first = run(session, "LOAD 'iowa.csv' AS IOWA", statement)[1]
+        assert built == [("Category",), ("CategoryName",)]
+        built.clear()
+        assert run(session, statement) == [first]
+        assert built == []
+
+    def test_update_keeps_the_partitions_it_leaves_equal(self, data_dir, built):
+        session = fresh_session(data_dir)
+        mine = "MINEFD {} AS SELECT LHS -> RHS WHERE LHS LENGTH <= 2 FROM IOWA"
+        run(session, "LOAD 'iowa.csv' AS IOWA", mine.format("before"))
+        assert len(built) == 11
+        built.clear()
+        run(
+            session,
+            'UPDATE IOWA SET "Zip" = 51333 WHERE ["Address" = \'HWY 71\']',
+            'UPDATE IOWA SET "Pack" = 12 WHERE ["Pack" = 12]',  # same values
+            mine.format("after"),
+        )
+        assert built == [("Zip",)]
 
 
 class TestImportExport:
@@ -829,6 +887,23 @@ class TestMain:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].rstrip().endswith("(4 rows)")
+
+    @pytest.mark.parametrize(
+        "on", ["", ' ON ["Pack" >= 12]', ' ON ["Pack" > 100000]'],
+        ids=["whole-table", "scoped", "empty-scope"],
+    )
+    def test_holds_bound_outside_the_range_is_a_user_error(self, data_dir, capsys, on):
+        code = main(
+            [
+                "exec", "--data-dir", str(data_dir),
+                "-c", "LOAD 'iowa.csv' AS IOWA; SELECT \"Zip\" FROM IOWA WHERE "
+                f'HOLDS ("Address" -> "Zip"{on}, ERROR = 1.5);',
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error bound 1.5 outside [0, 1)" in captured.err
+        assert "rows)" not in captured.out
 
     def test_exec_user_error_is_code_1(self, capsys):
         assert main(["exec", "-c", "SELECT * FROM NOPE;"]) == 1

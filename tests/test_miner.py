@@ -118,33 +118,40 @@ class TestMineFds:
         assert one.entries == two.entries == eight.entries
 
     @pytest.mark.parametrize(
-        "spec, products",
+        "spec, products, split_rows",
         [
-            (MiningSpec(), 98),
-            (MiningSpec(max_lhs_len=1), 0),
-            (MiningSpec(max_lhs_len=2), 45),
-            (MiningSpec(error_threshold=0.05), 25),
+            (MiningSpec(), 98, 345),
+            (MiningSpec(max_lhs_len=1), 0, 0),
+            (MiningSpec(max_lhs_len=2), 45, 198),
+            (MiningSpec(error_threshold=0.05), 25, 159),
         ],
         ids=["exact", "cap-1", "cap-2", "bound-0.05"],
     )
-    def test_partition_products_are_pinned(self, iowa, monkeypatch, spec, products):
-        # a deterministic work counter: losing a pruning rule raises the
-        # count, so it fails here rather than on a stopwatch
-        calls = []
+    def test_partition_products_are_pinned(
+        self, iowa, monkeypatch, spec, products, split_rows
+    ):
+        # deterministic work counters: losing a pruning rule raises the
+        # product count, and splitting a larger subset than needed raises
+        # the rows covered by the left inputs (410, 213 and 178 when each
+        # node split its prefix), so either fails here, not on a stopwatch
+        covered = []
         real = fdq.miner.intersect
 
         def counting(a, b):
-            calls.append(None)
+            covered.append(a.covered)
             return real(a, b)
 
         monkeypatch.setattr(fdq.miner, "intersect", counting)
         mined = mine_fds(iowa, spec)
-        assert len(calls) == products
+        assert len(covered) == products
+        assert sum(covered) == split_rows
         assert mined.entries == brute_force_mine(iowa, spec).entries
 
     def test_single_partition_ids_are_built_once(self, iowa, monkeypatch):
         # intersect splits by the ids of its single-attribute input, so
-        # each attribute's ids are built once per call, not per product
+        # each attribute's ids are built once per snapshot, not per product;
+        # a fresh snapshot, since the shared fixture keeps what others built
+        iowa = Relation(iowa.name, iowa.schema, iowa.rows)
         singles, built = [], []
         real_build, real_ids = fdq.miner.build_pli, PLI.ids.func
 
@@ -164,6 +171,9 @@ class TestMineFds:
         assert len(singles) == len(iowa.schema)
         assert built and {id(p) for p in built} <= {id(p) for p in singles}
         assert len({id(p) for p in built}) == len(built)
+        built.clear()
+        mine_fds(iowa)
+        assert built == []
 
     def test_bad_parameters(self, iowa):
         with pytest.raises(ParameterError):

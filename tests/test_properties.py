@@ -23,6 +23,7 @@ from fdq.cfd import (
     tableau_match_rows,
 )
 from fdq.cli import Session, run_command
+from fdq.errors import FdqError
 from fdq.fdstore import (
     ErrorLeq,
     FDEntry,
@@ -47,6 +48,7 @@ from fdq.partition import (
     grouped,
     intersect,
     pair_errors,
+    partition_of,
     pli_of,
 )
 from fdq.query import (
@@ -584,6 +586,17 @@ def test_grouping_equals_the_generator_grouping(case, arity, scoped):
     ]
 
 
+@common
+@given(kernel_cases(), st.booleans())
+def test_partition_from_kept_singles_equals_a_fresh_grouping(case, scoped):
+    relation, scope, lhs, _ = case
+    scope = scope if scoped else None
+    expected = assert_canonical(pli_of(relation, lhs, scope))
+    assert assert_canonical(partition_of(relation, lhs, scope)) == expected
+    # once more from the singles the first call kept
+    assert partition_of(relation, lhs, scope) == expected
+
+
 # --- mining -------------------------------------------------------------------------
 
 @common
@@ -781,6 +794,98 @@ def test_updated_fingerprint_equals_a_fresh_hash(case):
             assert now.fingerprint == Relation(now.name, now.schema, now.rows).fingerprint
     now = session.relations["T"]
     assert now.fingerprint == Relation(now.name, now.schema, now.rows).fingerprint
+
+
+@st.composite
+def statement_runs(draw):
+    """A relation and statements that build, keep, pass on and read its
+    partitions: UPDATE of every row or of some, to NULL, to a value or to
+    the value the rows already hold; MINEFD; exact and approximate HOLDS,
+    with and without ON; NOT HOLDS, VIOLATES and DEPENDENT."""
+    relation = draw(relations(min_attrs=2, max_rows=10))
+    schema = relation.schema
+
+    def name(meta):
+        return f'"{meta.name}"'
+
+    def literal(meta):
+        if meta.kind == "integer":
+            return str(draw(st.integers(0, 3)))
+        return f"'{draw(st.sampled_from('abc'))}'"
+
+    def condition():
+        meta = draw(st.sampled_from(schema))
+        return f"[{name(meta)} {draw(st.sampled_from(('=', '!=', '<=')))} {literal(meta)}]"
+
+    def fd(suspect=None):
+        lhs = draw(st.lists(st.sampled_from(schema), min_size=1, max_size=3, unique=True))
+        if suspect is not None and suspect not in lhs:
+            lhs.append(suspect)
+        rhs = draw(st.sampled_from(schema))
+        return f"{', '.join(map(name, lhs))} -> {name(rhs)}"
+
+    def bound():
+        return draw(st.sampled_from(("0.0", "0.05", "0.2", "0.5")))
+
+    statements = []
+    for i in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(
+            ("update", "equal", "minefd", "holds", "not", "violates", "dependent")
+        ))
+        if kind == "update":
+            target = draw(st.sampled_from(schema))
+            value = "NULL" if draw(st.booleans()) else literal(target)
+            where = f" WHERE {condition()}" if draw(st.booleans()) else ""
+            statements.append(f"UPDATE T SET {name(target)} = {value}{where}")
+        elif kind == "equal":
+            target = draw(st.sampled_from(schema))
+            value = literal(target)
+            statements.append(
+                f"UPDATE T SET {name(target)} = {value} WHERE [{name(target)} = {value}]"
+            )
+        elif kind == "minefd":
+            statements.append(
+                f"MINEFD f{i} AS SELECT LHS -> RHS, ERROR FROM T ERROR {bound()}"
+            )
+        elif kind in ("holds", "not"):
+            on = f" ON {condition()}" if draw(st.booleans()) else ""
+            error = f", ERROR = {bound()}" if kind == "holds" and draw(st.booleans()) else ""
+            head = "HOLDS" if kind == "holds" else "NOT HOLDS"
+            statements.append(f"SELECT * FROM T WHERE {head} ({fd()}{on}{error})")
+        elif kind == "violates":
+            suspect = draw(st.sampled_from(schema))
+            statements.append(
+                f"SELECT * FROM T WHERE {name(suspect)} VIOLATES "
+                f"({fd(suspect)}, ERROR <= {bound()})"
+            )
+        else:
+            attrs = draw(st.lists(st.sampled_from(schema), min_size=1, max_size=3, unique=True))
+            statements.append(
+                f"SELECT DEPENDENT ([{', '.join(map(name, attrs))}], ERROR = {bound()}) "
+                "FROM T"
+            )
+    return relation, statements
+
+
+def _outcome(session, statement):
+    try:
+        return run_command(session, statement)[1]
+    except FdqError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@common
+@given(statement_runs())
+def test_kept_partitions_answer_like_a_fresh_snapshot(case):
+    # each statement runs on the session, whose snapshots keep and pass on
+    # partitions, and on a fresh session that loads the same rows
+    relation, statements = case
+    session = Session(relations={"T": relation})
+    for statement in statements:
+        now = session.relations["T"]
+        fresh = Session(relations={"T": Relation(now.name, now.schema, now.rows)})
+        assert _outcome(session, statement) == _outcome(fresh, statement)
+        assert session.relations["T"] == fresh.relations["T"]
 
 
 # --- query algebra -------------------------------------------------------------------

@@ -347,6 +347,15 @@ class TestEvalHolds:
         with pytest.raises(ParameterError):
             eval_holds(iowa, ["Zip"], "Pack", error=-0.1)
 
+    @pytest.mark.parametrize(
+        "on",
+        [None, Comparison("Pack", ">=", 12), Comparison("Pack", ">", 100000)],
+        ids=["whole-table", "scoped", "empty-scope"],
+    )
+    def test_bound_is_checked_before_any_row(self, iowa, on):
+        with pytest.raises(ParameterError, match=r"error bound 1.5 outside \[0, 1\)"):
+            eval_holds(iowa, ["Address"], "Zip", on, error=1.5)
+
     def test_unknown_attribute(self, iowa):
         with pytest.raises(NameResolutionError):
             eval_holds(iowa, ["Nope"], "Pack")
@@ -445,9 +454,10 @@ class TestEvalViolates:
         assert eval_violates(r, "a", ["a"], "b", threshold=0.3) == {0, 1}
 
     def test_distance_calls_are_pinned(self, monkeypatch):
-        # a deterministic work counter: a value stops being scored at its
-        # first close sibling, so going back to the minimum over every
-        # sibling (one call per ordered pair) fails here, not on a stopwatch
+        # a deterministic work counter: each unordered pair of distinct
+        # values is scored at most once, and not once both are known close,
+        # so going back to one call per ordered pair, or to the minimum over
+        # every sibling, fails here, not on a stopwatch
         rng = random.Random(6)
         streets = ["ELM ST", "OAK AVE", "MAPLE DR", "HWY 71", "PINE CT", "MAIN ST"]
         rows = []
@@ -471,8 +481,32 @@ class TestEvalViolates:
             len({a for a, b in rows if b == zip_}) for zip_ in {b for _, b in rows}
         ]
         assert len(found) == 78
-        assert len(calls) == 279
-        assert len(calls) < sum(n * (n - 1) for n in siblings)
+        assert len(calls) == 187
+        assert len(calls) < sum(n * (n - 1) // 2 for n in siblings)
+
+    @pytest.mark.parametrize(
+        "rhs, threshold, rows, calls",
+        [
+            ("Zip", 0.75, {0, 1, 2, 8}, 2),  # two groups of two addresses
+            ("Pack", 0.75, set(range(9)), 12),
+            ("Pack", 0.3, set(), 28),  # every unordered pair of 8 addresses
+        ],
+    )
+    def test_distance_calls_are_pinned_on_the_fixture(
+        self, iowa, monkeypatch, rhs, threshold, rows, calls
+    ):
+        # scoring each ordered pair up to a value's first close sibling
+        # made 4, 20 and 56 calls
+        counted = []
+        real = fdq.query.value_distance
+
+        def counting(*args):
+            counted.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(fdq.query, "value_distance", counting)
+        assert eval_violates(iowa, "Address", ["Address"], rhs, threshold) == rows
+        assert len(counted) == calls
 
     def test_suspect_must_be_in_lhs(self, iowa):
         with pytest.raises(ContractError):

@@ -152,6 +152,22 @@ class TestRelation:
         with pytest.raises(SchemaError):
             Relation.build("t", [("A", "integer")], [["x"]])
 
+    def test_with_rows_passes_on_what_the_edit_left_equal(self):
+        parent = Relation.build(
+            "t", [("A", "integer"), ("B", "integer")], [(1, 1), (1, 2), (2, 2)]
+        )
+        parent.partitions.update({0: "kept A", 1: "kept B"})  # opaque here
+        # row 1 is a new object equal on A; rows 0 and 2 are passed through
+        child = parent.with_rows([parent.rows[0], (1, 3), parent.rows[2]])
+        assert child == Relation("t", parent.schema, ((1, 1), (1, 3), (2, 2)))
+        assert child.partitions == {0: "kept A"}
+        assert child.row_numbers is parent.row_numbers
+        # an equal value of another type groups the same way
+        assert parent.with_rows([(1, 1), (Decimal("1.0"), 2), (2, 2)]).partitions == {
+            0: "kept A", 1: "kept B"
+        }
+        assert Relation("t", parent.schema, parent.rows).partitions == {}
+
 
 class TestRowPredicates:
     def test_scoped_condition_from_fixture(self, iowa):
