@@ -14,7 +14,10 @@ has been emitted, so only minimal dependencies surface. A node whose
 every dependent is settled that way is dead: no superset can yield a
 candidate, so level k+1 builds only the nodes whose k-subsets are all
 live, each by one partition product: the smallest of those subsets split
-by the attribute it lacks. No level is built past the size cap.
+by the attribute it lacks. No level is built past the size cap, so the
+level at the cap builds no product: each of its nodes keeps that smallest
+subset and the lacking attribute's value ids, and `pair_errors` splits
+the subset's clusters by those ids as it scores.
 Validation runs serially and in a fixed order, so the outcome does not
 depend on the requested worker count.
 
@@ -121,12 +124,16 @@ def mine_fds(
     emitted: dict[int, list[frozenset[int]]] = {a: [] for a in rhs_universe}
     entries: list[FDEntry] = []
 
-    # nodes are ascending tuples of attribute indexes
-    level: dict[tuple[int, ...], PLI] = {(a,): singles[a] for a in lhs_universe}
+    # nodes are ascending tuples of attribute indexes, each with its
+    # partition and, at the size cap, the ids of the attribute that
+    # partition lacks (see below)
+    level: dict[tuple[int, ...], tuple[PLI, list[int] | None]] = {
+        (a,): (singles[a], None) for a in lhs_universe
+    }
     size = 1
     while level:
         live: list[tuple[int, ...]] = []
-        for node, pli in level.items():
+        for node, (pli, split) in level.items():
             lhs = frozenset(node)
             todo = [
                 a for a in rhs_universe
@@ -135,7 +142,11 @@ def mine_fds(
             if not todo:
                 continue
             errors = pair_errors(
-                pli, [ids[a] for a in todo], relation.row_count, spec.error_threshold
+                pli,
+                [ids[a] for a in todo],
+                relation.row_count,
+                spec.error_threshold,
+                split,
             )
             alive = False
             for a, err in zip(todo, errors):
@@ -159,7 +170,11 @@ def mine_fds(
         # a dead node settles every dependent for all its supersets, so a
         # node is built only when each of its subsets one smaller is live
         live_set = set(live)
-        next_level: dict[tuple[int, ...], PLI] = {}
+        # no level splits the nodes at the cap, so their products would be
+        # scored once and dropped: keep each as its base and the lacking
+        # attribute's ids, and split the base while scoring instead
+        at_cap = size + 1 == spec.max_lhs_len
+        next_level: dict[tuple[int, ...], tuple[PLI, list[int] | None]] = {}
         for base in live:
             for last in lhs_universe:
                 if last <= base[-1]:
@@ -170,8 +185,13 @@ def mine_fds(
                     # every subset gives the same product, at a cost linear
                     # in the rows it covers: split the smallest (the first
                     # of equals) by the one attribute it lacks
-                    _, i = min((level[s].covered, i) for i, s in enumerate(subsets))
-                    next_level[node] = intersect(level[subsets[i]], singles[node[i]])
+                    _, i = min((level[s][0].covered, i) for i, s in enumerate(subsets))
+                    smallest, lacking = level[subsets[i]][0], singles[node[i]]
+                    next_level[node] = (
+                        (smallest, lacking.ids)
+                        if at_cap
+                        else (intersect(smallest, lacking), None)
+                    )
         level = next_level
         size += 1
 

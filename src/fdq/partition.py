@@ -12,6 +12,11 @@ agree on X but disagree on A, out of all n*(n-1) ordered pairs. It is 0
 exactly when the dependency holds. For n <= 1 the denominator degenerates
 and the error is defined as 0. The miner, approximate HOLDS and DEPENDENT
 all score through `pair_errors`, which never builds the X u {A} partition.
+Given the value ids of one more attribute y as `split`, it scores X u {y}
+from X's partition, keying each row by its (cluster, y value), so the
+X u {y} partition is not built either: the miner scores the level at its
+size cap that way, and `scoring_partition` gives a multi-attribute
+determinant of a query as a partition one product short and a split.
 
 Each snapshot keeps the whole-table partition of every single attribute
 once it is built (`build_pli`), and the partition of an attribute set,
@@ -24,16 +29,17 @@ Every caller asks whether the error is within a bound, so `pair_errors`
 counts violating pairs in stages of whole clusters, the first of at
 least STAGE_ROWS rows and each later one about twice the one before,
 and stops scoring a dependent once its running count is past the bound.
-A cluster's violating pairs never go negative, so a partial count is a
-lower bound: once `partial / denominator > bound`, the full error is
-past it too (float division is monotone). A dependent within the bound
+A cluster's violating pairs never go negative, nor do those of a
+(cluster, y value) key under a split, so a partial count is a lower
+bound: once `partial / denominator > bound`, the full error is past it
+too (float division is monotone). A dependent within the bound
 is counted to the end, and its stage sums add up to the exact count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from math import inf
@@ -54,6 +60,9 @@ class PLI:
 
     clusters: tuple[tuple[int, ...], ...]
     relation_size: int
+    # the snapshot's row numbers, which `ids` shares for unclustered rows;
+    # empty means make new ones
+    row_numbers: Sequence[int] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def covered(self) -> int:
@@ -64,8 +73,9 @@ class PLI:
         """Per-row value id in [0, n): the smallest row of the row's
         cluster, or the row itself outside every cluster. Built on first
         read and kept, so each partition builds it at most once; callers
-        share the list, so they only read it."""
-        ids = list(range(self.relation_size))
+        share the list, so they only read it. Seeded from `row_numbers`,
+        so a row outside every cluster costs a pointer, not a new int."""
+        ids = list(self.row_numbers or range(self.relation_size))
         for cluster in self.clusters:
             first = cluster[0]
             for row in cluster:
@@ -124,7 +134,7 @@ def pli_of(
     """
     groups = grouped(relation, attrs, scope)
     clusters = tuple(tuple(g) for g in groups.values() if len(g) >= 2)
-    return PLI(clusters, relation.row_count)
+    return PLI(clusters, relation.row_count, relation.row_numbers)
 
 
 def build_pli(relation: Relation, attribute: int) -> PLI:
@@ -159,6 +169,22 @@ def partition_of(
     for other in singles[1:]:
         pli = intersect(pli, other)
     return pli
+
+
+def scoring_partition(
+    relation: Relation, attrs: Sequence[int], scope: Iterable[int] | None = None
+) -> tuple[PLI, list[int] | None]:
+    """The `pli` and `split` arguments that score the distinct attributes
+    `attrs` as a determinant with `pair_errors`, one product short of
+    `partition_of`: the partition of all but the attribute whose single
+    partition covers the most rows, which `partition_of` splits by last,
+    and that attribute's whole-table ids. A single attribute is its own
+    partition, with no split."""
+    if len(attrs) < 2:
+        return partition_of(relation, attrs, scope), None
+    last = max(attrs, key=lambda a: build_pli(relation, a).covered)
+    rest = [a for a in attrs if a != last]
+    return partition_of(relation, rest, scope), build_pli(relation, last).ids
 
 
 def _restrict(pli: PLI, scope: Iterable[int]) -> PLI:
@@ -228,9 +254,14 @@ def pair_errors(
     id_columns: Iterable[Sequence[int]],
     scope_size: int,
     bound: float = inf,
+    split: Sequence[int] | None = None,
 ) -> list[float]:
     """Error of X -> A for each dependent A given by its value ids, X being
     the partition's attribute set over a scope of `scope_size` rows.
+
+    With `split`, the per-row value ids of one more attribute y, X is the
+    partition's set plus y: each cluster is split by y's ids while it is
+    scored, so the product partition is never built.
 
     An error within `bound` is exact. Past it, scoring may stop early and
     return some value still past the bound; the default never stops.
@@ -241,11 +272,19 @@ def pair_errors(
         return [0.0] * len(columns)
     violating = [0] * len(columns)
     open_columns = list(enumerate(columns))
-    for rows, tags, square_sum in _stages(pli.clusters, pli.relation_size):
+    n = pli.relation_size
+    for rows, tags, square_sum in _stages(pli.clusters, n):
+        if split is not None:
+            # a (cluster, y value) key per row: the rows of one key agree on
+            # X and y, and the dependents' tags become key * n
+            keys = list(map(add, tags, map(split.__getitem__, rows)))
+            sizes = Counter(keys).values()
+            square_sum = sum(map(mul, sizes, sizes))
+            tags = list(map(n.__mul__, keys))
         still_open = []
         for j, ids in open_columns:
             # the c rows of one (cluster, value) agree on X and A in c*c - c
-            # pairs; a cluster of s rows agrees on X in s*s - s
+            # pairs; a cluster (or key) of s rows agrees on X in s*s - s
             counts = Counter(map(add, tags, map(ids.__getitem__, rows))).values()
             violating[j] += square_sum - sum(map(mul, counts, counts))
             if violating[j] / denominator <= bound:
@@ -299,7 +338,7 @@ def error_measure(
         if not scope:
             raise ContractError("error measure needs a non-empty scope")
     size = relation.row_count if scope is None else len(scope)
-    lhs_pli = partition_of(relation, sorted(cand.lhs), scope)
+    lhs_pli, split = scoring_partition(relation, sorted(cand.lhs), scope)
     # value ids over the whole table tell the scope's values apart as well
     rhs_ids = build_pli(relation, cand.rhs).ids
-    return pair_errors(lhs_pli, [rhs_ids], size, bound)[0]
+    return pair_errors(lhs_pli, [rhs_ids], size, bound, split)[0]

@@ -23,6 +23,7 @@ from .partition import (
     error_measure,
     pair_errors,
     partition_of,
+    scoring_partition,
     violating_rows,
 )
 from .relation import (
@@ -326,9 +327,11 @@ def _resolve(relation: Relation, names: Sequence[str]) -> list[int]:
     return [relation.attribute(n).index for n in names]
 
 
-def _scope_rows(relation: Relation, on: RowPredicate | None) -> list[int]:
+def _scope_rows(relation: Relation, on: RowPredicate | None) -> list[int] | None:
+    """The ON scope's rows, or None for the whole table, which the partition
+    layer then takes as it is, without cutting it to a scope."""
     if on is None:
-        return list(range(relation.row_count))
+        return None
     return sorted(eval_row_predicate(relation, on))
 
 
@@ -351,18 +354,19 @@ def eval_holds(
     lhs_idx = _resolve(relation, lhs)
     rhs_idx = relation.attribute(rhs).index
     scope = _scope_rows(relation, on_condition)
-    if not scope:
+    rows = set(range(relation.row_count) if scope is None else scope)
+    if not rows:
         return set()
     bad = violating_rows(relation, lhs_idx, rhs_idx, scope)
     if error is None:
-        return set(scope) - bad
+        return rows - bad
     if not bad:  # also covers a trivial candidate, dependent inside the determinant
-        return set(scope)
+        return rows
     measured = error_measure(
         relation, FDCandidate(frozenset(lhs_idx), rhs_idx), scope, error
     )
     if measured <= error:
-        return set(scope) - bad
+        return rows - bad
     return set()
 
 
@@ -437,6 +441,10 @@ def value_distance(
         k = m if threshold is None or threshold >= 1 else int(threshold * m) + 1
         if abs(len(a) - len(b)) > k:
             return (k + 1) / m  # every alignment needs the length gap in edits
+        if len(set(a) ^ set(b)) > 2 * k:
+            # an edit changes the set of characters used by at most two, one
+            # dropped and one added, so more differences need more edits
+            return (k + 1) / m
         return _levenshtein(a, b, k) / m
     fa, fb = float(a), float(b)
     if fa == fb:
@@ -517,8 +525,8 @@ def eval_dependent(
     ids = {a: build_pli(relation, a).ids for a in outside}
 
     def passing(lhs: list[int], candidates: list[int]) -> set[int]:
-        pli = partition_of(relation, lhs)
-        errors = pair_errors(pli, [ids[a] for a in candidates], n, bound)
+        pli, split = scoring_partition(relation, lhs)
+        errors = pair_errors(pli, [ids[a] for a in candidates], n, bound, split)
         return {a for a, err in zip(candidates, errors) if err <= bound}
 
     qualifying = sorted(passing(x, outside))

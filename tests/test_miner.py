@@ -122,7 +122,8 @@ class TestMineFds:
         [
             (MiningSpec(), 98, 345),
             (MiningSpec(max_lhs_len=1), 0, 0),
-            (MiningSpec(max_lhs_len=2), 45, 198),
+            # the cap level is scored from its bases, with no products
+            (MiningSpec(max_lhs_len=2), 0, 0),
             (MiningSpec(error_threshold=0.05), 25, 159),
         ],
         ids=["exact", "cap-1", "cap-2", "bound-0.05"],
@@ -145,6 +146,35 @@ class TestMineFds:
         mined = mine_fds(iowa, spec)
         assert len(covered) == products
         assert sum(covered) == split_rows
+        assert mined.entries == brute_force_mine(iowa, spec).entries
+
+    @pytest.mark.parametrize(
+        "spec, scorings, base_rows",
+        [
+            (MiningSpec(), 0, 0),
+            (MiningSpec(max_lhs_len=1), 0, 0),
+            (MiningSpec(max_lhs_len=2), 45, 198),
+            (MiningSpec(max_lhs_len=3), 34, 103),
+        ],
+        ids=["exact", "cap-1", "cap-2", "cap-3"],
+    )
+    def test_cap_level_is_scored_from_its_bases(
+        self, iowa, monkeypatch, spec, scorings, base_rows
+    ):
+        # each node at the cap, and no other, is scored from its smallest
+        # subset, split by the attribute it lacks while it is scored
+        covered = []
+        real = fdq.miner.pair_errors
+
+        def counting(pli, id_columns, scope_size, bound, split=None):
+            if split is not None:
+                covered.append(pli.covered)
+            return real(pli, id_columns, scope_size, bound, split)
+
+        monkeypatch.setattr(fdq.miner, "pair_errors", counting)
+        mined = mine_fds(iowa, spec)
+        assert len(covered) == scorings
+        assert sum(covered) == base_rows
         assert mined.entries == brute_force_mine(iowa, spec).entries
 
     def test_single_partition_ids_are_built_once(self, iowa, monkeypatch):

@@ -69,6 +69,15 @@ class TestBuildPli:
         with pytest.raises(ContractError):
             build_pli(iowa, 11)
 
+    def test_ids_share_the_snapshots_row_numbers(self):
+        # past 256 the interpreter makes a new int each time, so a row
+        # outside every cluster must cost the ids a pointer, not an int
+        rel = load_csv(b"A\n0\n" + b"".join(b"%d\n" % i for i in range(600)))
+        ids = build_pli(rel, 0).ids
+        assert ids == [0, 0, *range(2, 601)]
+        numbers = rel.row_numbers
+        assert all(ids[i] is numbers[i] for i in range(2, 601))
+
     def test_invariants_enforced(self):
         with pytest.raises(AssertionError, match="fewer than 2"):
             assert_canonical(PLI(((3,),), 5))

@@ -5,6 +5,7 @@ the generators shake out the shapes the golden tests do not reach."""
 from collections import Counter
 from decimal import Decimal
 from itertools import chain
+from math import inf
 from operator import add, mul
 from unittest import mock
 
@@ -412,6 +413,13 @@ def texts_and_bounds(draw):
 # 15/22 * 22 rounds to just below 15, and a distance of 16 sits past it:
 # a band of width floor(bound * m) without the extra edit calls it close
 @example(("a" * 22, "b" * 16 + "a" * 6, 15 / 22))
+# the character sets alone: 4 differ where k = 1 allows 2, and 12 where
+# k = 4 allows 8; at exactly 2k (b, c against d, e) the kernel decides
+@example(("ab", "cd", 0.0))
+@example(("abcdef", "uvwxyz", 0.5))
+@example(("abc", "def", 1 / 3))
+@example(("abc", "ade", 1 / 3))
+@example(("aaaa", "bbbb", 0.25))  # one character each: the sets differ in 2
 def test_banded_distance_decides_like_the_full_one(case):
     a, b, bound = case
     m = max(len(a), len(b), 1)
@@ -422,9 +430,10 @@ def test_banded_distance_decides_like_the_full_one(case):
         got = value_distance(a, b, "text", bound)
     assert (got <= bound) == (exact <= bound)
     assert got == exact or got > bound
+    assert got <= exact  # past the band, a lower bound
     k = m if bound >= 1 else min(int(bound * m) + 1, m)
-    if abs(len(a) - len(b)) > k:
-        assert not kernel.called  # the length gap alone decides
+    if abs(len(a) - len(b)) > k or len(set(a) ^ set(b)) > 2 * k:
+        assert not kernel.called  # the length gap or the character sets decide
     assert value_distance(a, b, "text") == exact
 
 
@@ -561,6 +570,28 @@ def test_staged_pair_errors_decide_like_the_full_count(case, data):
             assert err == full
         else:
             assert err > bound
+
+
+@common
+@given(kernel_cases(), st.data())
+def test_split_scoring_decides_like_the_product(case, data):
+    relation, scope, lhs, stage_rows = case
+    outside = [m.index for m in relation.schema if m.index not in lhs]
+    y = data.draw(st.sampled_from(outside))
+    single = assert_canonical(pli_of(relation, [y]))
+    base = assert_canonical(pli_of(relation, lhs, scope))
+    product = assert_canonical(intersect(base, single))
+    ids = [pli_of(relation, [a], scope).ids for a in outside if a != y]
+    exact = unstaged_pair_errors(product, ids, len(scope))
+    bound = data.draw(st.sampled_from([0.0, 0.05, inf, *exact]))
+    with mock.patch.object(fdq.partition, "STAGE_ROWS", stage_rows):
+        split = pair_errors(base, ids, len(scope), bound, split=single.ids)
+        built = pair_errors(product, ids, len(scope), bound)
+    for full, from_base, from_product in zip(exact, split, built):
+        if full <= bound:
+            assert from_base == from_product == full
+        else:
+            assert from_base > bound and from_product > bound
 
 
 def generator_grouped(relation, attrs, scope=None):

@@ -3,6 +3,7 @@ from decimal import Decimal
 
 import pytest
 
+import fdq.partition
 import fdq.query
 from fdq.cfd import PatternTableau, condition_to_tableau, tableau_match_rows
 from fdq.errors import (
@@ -27,6 +28,7 @@ from fdq.query import (
     select_to_text,
     value_distance,
 )
+from fdq.partition import FDCandidate
 from fdq.relation import And, Comparison, Not, Or, Relation, TRUE
 
 # The fixture's on-scope workhorse: restrict to large bottles in the bourbon
@@ -341,6 +343,25 @@ class TestEvalHolds:
         eval_holds(iowa, lhs, rhs, error=bound)
         assert bounds == measured
 
+    @pytest.mark.parametrize(
+        "on, cuts", [(None, 0), (Comparison("Pack", ">=", 12), 3)], ids=["whole", "scoped"]
+    )
+    def test_only_an_on_scope_is_cut(self, iowa, monkeypatch, on, cuts):
+        # without ON the kept partition is the whole table's as it is
+        cut = []
+        real = fdq.partition._restrict
+
+        def restricting(pli, scope):
+            cut.append(pli)
+            return real(pli, scope)
+
+        monkeypatch.setattr(fdq.partition, "_restrict", restricting)
+        exact = eval_holds(iowa, ["Category"], "CategoryName", on)
+        approximate = eval_holds(iowa, ["Category"], "CategoryName", on, error=0.05)
+        witnesses = eval_not_holds(iowa, ["Category"], "CategoryName", on)
+        assert len(cut) == cuts
+        assert exact == approximate - witnesses
+
     def test_bound_out_of_range(self, iowa):
         with pytest.raises(ParameterError):
             eval_holds(iowa, ["Zip"], "Pack", error=1.0)
@@ -556,6 +577,36 @@ class TestEvalDependent:
         loose = set(eval_dependent(iowa, ["Category"], error=0.05))
         assert "CategoryName" not in exact
         assert "CategoryName" in loose
+
+    @pytest.mark.parametrize("module", [fdq.query, fdq.partition])
+    def test_determinant_is_scored_one_product_short(self, iowa, monkeypatch, module):
+        # {Zip, Address} is scored as Address's partition (2 rows, Zip's
+        # covers 4) split by Zip's ids, so no product is built; DEPENDENT
+        # then scores each one-attribute subset, its own partition
+        products, scored = [], []
+        real_intersect, real_scoring = fdq.partition.intersect, module.pair_errors
+
+        def building(a, b):
+            products.append(a)
+            return real_intersect(a, b)
+
+        def scoring(pli, id_columns, scope_size, bound, split=None):
+            scored.append((pli.covered, split is not None))
+            return real_scoring(pli, id_columns, scope_size, bound, split)
+
+        monkeypatch.setattr(fdq.partition, "intersect", building)
+        monkeypatch.setattr(module, "pair_errors", scoring)
+        zip_, address = iowa.attribute("Zip").index, iowa.attribute("Address").index
+        if module is fdq.query:
+            eval_dependent(iowa, ["Zip", "Address"])
+        else:
+            category = iowa.attribute("Category").index
+            fdq.partition.error_measure(
+                iowa, FDCandidate(frozenset({zip_, address}), category)
+            )
+        assert products == []
+        assert scored[0] == (2, True)
+        assert all(not split for _, split in scored[1:])
 
     def test_empty_attribute_list(self, iowa):
         with pytest.raises(ParameterError):
