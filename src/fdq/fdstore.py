@@ -371,6 +371,7 @@ def loads_fdset(text: str) -> FDSet:
     into characters)."""
     header = None
     entries: list[FDEntry] = []
+    first_line: dict[tuple[tuple[str, ...], str], int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -396,6 +397,16 @@ def loads_fdset(text: str) -> FDSet:
             raise ParseError(f"line {lineno}: 'lhs' must be a non-empty list of names")
         if not isinstance(rhs, str):
             raise ParseError(f"line {lineno}: 'rhs' must be a name")
+        if len(set(lhs)) != len(lhs):
+            raise ParseError(f"line {lineno}: duplicate attribute in 'lhs'")
+        if rhs in lhs:
+            raise ParseError(f"line {lineno}: trivial dependency, 'rhs' inside 'lhs'")
+        key = (tuple(sorted(lhs)), rhs)
+        if key in first_line:
+            raise ParseError(
+                f"line {lineno}: repeats the dependency of line {first_line[key]}"
+            )
+        first_line[key] = lineno
         error = record.get("error", 0.0)
         if (
             isinstance(error, bool)
@@ -407,7 +418,7 @@ def loads_fdset(text: str) -> FDSet:
         if not isinstance(origin, str):
             raise ParseError(f"line {lineno}: 'origin' must be a string")
         entries.append(
-            FDEntry(lhs=tuple(sorted(lhs)), rhs=rhs, error=float(error), origin=origin)
+            FDEntry(lhs=key[0], rhs=rhs, error=float(error), origin=origin)
         )
     if header is None:
         raise ParseError("no header record found")

@@ -14,9 +14,9 @@ and the error is defined as 0. The miner, approximate HOLDS and DEPENDENT
 all score through `pair_errors`, which never builds the X u {A} partition.
 Given the value ids of one more attribute y as `split`, it scores X u {y}
 from X's partition, keying each row by its (cluster, y value), so the
-X u {y} partition is not built either: the miner scores the level at its
-size cap that way, and `scoring_partition` gives a multi-attribute
-determinant of a query as a partition one product short and a split.
+X u {y} partition is not built either. Only the miner passes `split`, to
+score the level at its size cap, which no later level splits; a query
+scores its determinant's `partition_of`.
 
 Each snapshot keeps the whole-table partition of every single attribute
 once it is built (`build_pli`), and the partition of an attribute set,
@@ -171,22 +171,6 @@ def partition_of(
     return pli
 
 
-def scoring_partition(
-    relation: Relation, attrs: Sequence[int], scope: Iterable[int] | None = None
-) -> tuple[PLI, list[int] | None]:
-    """The `pli` and `split` arguments that score the distinct attributes
-    `attrs` as a determinant with `pair_errors`, one product short of
-    `partition_of`: the partition of all but the attribute whose single
-    partition covers the most rows, which `partition_of` splits by last,
-    and that attribute's whole-table ids. A single attribute is its own
-    partition, with no split."""
-    if len(attrs) < 2:
-        return partition_of(relation, attrs, scope), None
-    last = max(attrs, key=lambda a: build_pli(relation, a).covered)
-    rest = [a for a in attrs if a != last]
-    return partition_of(relation, rest, scope), build_pli(relation, last).ids
-
-
 def _restrict(pli: PLI, scope: Iterable[int]) -> PLI:
     """The partition over the scope rows only: each cluster cut to them."""
     inside = set(scope)
@@ -338,7 +322,7 @@ def error_measure(
         if not scope:
             raise ContractError("error measure needs a non-empty scope")
     size = relation.row_count if scope is None else len(scope)
-    lhs_pli, split = scoring_partition(relation, sorted(cand.lhs), scope)
+    lhs_pli = partition_of(relation, sorted(cand.lhs), scope)
     # value ids over the whole table tell the scope's values apart as well
     rhs_ids = build_pli(relation, cand.rhs).ids
-    return pair_errors(lhs_pli, [rhs_ids], size, bound, split)[0]
+    return pair_errors(lhs_pli, [rhs_ids], size, bound)[0]

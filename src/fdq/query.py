@@ -23,7 +23,6 @@ from .partition import (
     error_measure,
     pair_errors,
     partition_of,
-    scoring_partition,
     violating_rows,
 )
 from .relation import (
@@ -327,12 +326,12 @@ def _resolve(relation: Relation, names: Sequence[str]) -> list[int]:
     return [relation.attribute(n).index for n in names]
 
 
-def _scope_rows(relation: Relation, on: RowPredicate | None) -> list[int] | None:
+def _scope_rows(relation: Relation, on: RowPredicate | None) -> set[int] | None:
     """The ON scope's rows, or None for the whole table, which the partition
     layer then takes as it is, without cutting it to a scope."""
     if on is None:
         return None
-    return sorted(eval_row_predicate(relation, on))
+    return eval_row_predicate(relation, on)
 
 
 def eval_holds(
@@ -354,7 +353,7 @@ def eval_holds(
     lhs_idx = _resolve(relation, lhs)
     rhs_idx = relation.attribute(rhs).index
     scope = _scope_rows(relation, on_condition)
-    rows = set(range(relation.row_count) if scope is None else scope)
+    rows = set(range(relation.row_count)) if scope is None else scope
     if not rows:
         return set()
     bad = violating_rows(relation, lhs_idx, rhs_idx, scope)
@@ -525,8 +524,8 @@ def eval_dependent(
     ids = {a: build_pli(relation, a).ids for a in outside}
 
     def passing(lhs: list[int], candidates: list[int]) -> set[int]:
-        pli, split = scoring_partition(relation, lhs)
-        errors = pair_errors(pli, [ids[a] for a in candidates], n, bound, split)
+        pli = partition_of(relation, lhs)
+        errors = pair_errors(pli, [ids[a] for a in candidates], n, bound)
         return {a for a, err in zip(candidates, errors) if err <= bound}
 
     qualifying = sorted(passing(x, outside))

@@ -14,7 +14,9 @@ row order matters. It is computed on first use, so statements that
 neither mine nor check a stored dependency set never pay for it, and a
 snapshot derived by `with_rows` from a parent whose fingerprint is known
 updates it by the changed rows alone when fewer than half the rows
-changed.
+changed. A decimal cell is digested by its exact normalized value, so
+1.50 and 1.5 agree, and decimals that differ in any digit or exponent
+do not.
 
 A snapshot also keeps what the partition layer built for each of its
 attributes, in `partitions`. This module treats those values as opaque;
@@ -31,7 +33,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from functools import cached_property
 from itertools import filterfalse
 from typing import IO, Iterable, Sequence, Union
@@ -186,6 +188,12 @@ class Relation:
         return child
 
 
+# normalize() under the default context rounds to 28 digits, flushes tiny
+# exponents to 0 and overflows past 1E+999999; this one keeps every value
+# exact, and gives a decimal inside the default limits the same text
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def _canonical_cell(value: Value) -> bytes:
     # exact type tests first: text and int cells are nearly all of them
     if type(value) is str:
@@ -200,7 +208,7 @@ def _canonical_cell(value: Value) -> bytes:
         return b"i" + str(value).encode()
     if isinstance(value, Decimal):
         # normalize() so 1.50 and 1.5 (equal values) hash identically
-        return b"d" + str(value.normalize()).encode()
+        return b"d" + str(value.normalize(_EXACT)).encode()
     return b"t" + value.encode("utf-8")
 
 
@@ -251,6 +259,22 @@ def _infer_kind(cells: Sequence[str]) -> str:
 
 
 _CONVERTERS = {INTEGER: int, DECIMAL: Decimal}
+
+
+def _out_of_range(
+    column: Sequence[str], name: str, kind: str, lines: list[int], null_token: str
+) -> IngestError:
+    """The error for the first cell of `column` that matches `kind` but that
+    its converter rejects: an integer of more digits than `int()` converts,
+    or a decimal whose exponent is past the decimal module's range."""
+    convert = _CONVERTERS[kind]
+    for cell, line in zip(column, lines):
+        if cell != null_token:
+            try:
+                convert(cell)
+            except (ValueError, InvalidOperation):
+                return IngestError(f"line {line}: {kind} in {name!r} is out of range")
+    raise AssertionError("no cell of the column fails to convert")
 
 
 def load_csv(
@@ -331,12 +355,16 @@ def load_csv(
             list(filter(null_token.__ne__, column)) if has_null else column
         )
         convert = _CONVERTERS.get(kind, str)  # str() of a str is that str
-        if has_null:
-            columns[j] = [
-                None if cell == null_token else convert(cell) for cell in column
-            ]
-        elif kind != TEXT:
-            columns[j] = list(map(convert, column))
+        try:
+            if has_null:
+                columns[j] = [
+                    None if cell == null_token else convert(cell) for cell in column
+                ]
+            elif kind != TEXT:
+                columns[j] = list(map(convert, column))
+        except (ValueError, InvalidOperation):
+            error = _out_of_range(column, header[j], kind, data_lines, null_token)
+            raise error from None
         kinds.append(kind)
     metas = tuple(
         AttributeMeta(n, i, k) for i, (n, k) in enumerate(zip(header, kinds))

@@ -13,7 +13,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 from .errors import ParseError
 
@@ -50,10 +50,14 @@ def tokenize(text: str) -> list[Token]:
             if m.lastgroup == "string":
                 tokens.append(Token("string", raw, raw[1:-1], pos))
             elif m.lastgroup == "number":
-                if "." in raw or "e" in raw or "E" in raw:
-                    tokens.append(Token("number", raw, Decimal(raw), pos))
-                else:
-                    tokens.append(Token("number", raw, int(raw), pos))
+                is_decimal = "." in raw or "e" in raw or "E" in raw
+                try:
+                    value = Decimal(raw) if is_decimal else int(raw)
+                except (ValueError, InvalidOperation):
+                    # more digits than int() converts, or an exponent past
+                    # the decimal module's range
+                    raise ParseError("number out of range", pos) from None
+                tokens.append(Token("number", raw, value, pos))
             elif m.lastgroup == "ident":
                 tokens.append(Token("ident", raw, raw, pos))
             else:
@@ -98,9 +102,6 @@ class TokenStream:
         if tok.kind != "end":
             self.i += 1
         return tok
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "end"
 
     def error(self, message: str, tok: Token | None = None) -> ParseError:
         tok = tok or self.peek()

@@ -322,6 +322,20 @@ class TestUpdateAndStaleness:
         # the stale set still answers, after the warning line
         assert outputs[4].splitlines()[1:] == outputs[2].splitlines()
 
+    def test_update_past_the_28th_digit_makes_fdsets_stale(self, tmp_path):
+        (tmp_path / "t.csv").write_text(
+            "A,B\n1,1.00000000000000000000000000001\n2,3.5\n", encoding="utf-8"
+        )
+        session = Session(data_dir=str(tmp_path), clock=lambda: FIXED_CLOCK)
+        *_, out = run(
+            session,
+            "LOAD 't.csv' AS T",
+            "MINEFD fs AS SELECT LHS -> RHS FROM T",
+            'UPDATE T SET "B" = 1.00000000000000000000000000002 WHERE ["A" = 1]',
+            "SELECTDEP LHS -> RHS FROM fs",
+        )
+        assert out.startswith("warning: fdset 'fs' is stale")
+
     def test_repair_shows_up_in_diff(self, data_dir):
         # fixing the zip typo gives the street a single zip, so the
         # one-attribute determinant appears in the re-mined set
@@ -794,6 +808,31 @@ class TestMain:
         script.write_text("LOAD 'iowa.csv' AS IOWA;\n", encoding="utf-8")
         assert main(["exec", "--data-dir", str(data_dir), "-f", str(script)]) == 0
         assert "loaded IOWA" in capsys.readouterr().out
+
+    def test_minefd_over_a_decimal_past_the_default_exponents(self, tmp_path, capsys):
+        (tmp_path / "t.csv").write_text("A,B\n1,1e9999999\n2,3.5\n", encoding="utf-8")
+        script = "LOAD 't.csv' AS T; MINEFD fs AS SELECT LHS -> RHS FROM T;"
+        assert main(["exec", "--data-dir", str(tmp_path), "-c", script]) == 0
+        assert "fdset fs: 2 dependencies" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "statement, number",
+        [
+            ('UPDATE T SET "A" = {}', "9" * 5000),
+            (
+                "MINEFD g AS SELECT LHS -> RHS FROM T ERROR {}",
+                "1e1000000000000000000",
+            ),
+        ],
+        ids=["integer-digits", "decimal-exponent"],
+    )
+    def test_number_out_of_range_is_a_parse_error(self, statement, number):
+        if len(number) > 1000 and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("int() converts integers of any length")
+        text = statement.format(number)
+        with pytest.raises(ParseError, match="number out of range") as caught:
+            run_command(Session(), text)
+        assert caught.value.pos == text.index(number) + 1
 
     def test_exec_missing_script_file(self, capsys):
         assert main(["exec", "-f", "/nonexistent/x.fdq"]) == 1

@@ -365,6 +365,19 @@ class TestPersistence:
         with pytest.raises(ParseError, match="line 2"):
             loads_fdset('{"fdset":"x","table":"t"}\nnot json\n')
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('{"lhs":["A","A"],"rhs":"B"}', "line 3: duplicate attribute"),
+            ('{"lhs":["A","B"],"rhs":"B"}', "line 3: trivial dependency"),
+            ('{"lhs":["B","A"],"rhs":"C"}', "line 3: repeats the dependency of line 2"),
+        ],
+    )
+    def test_invalid_entry_reports_line(self, entry, message):
+        text = '{"fdset":"x","table":"t"}\n{"lhs":["A","B"],"rhs":"C"}\n' + entry
+        with pytest.raises(ParseError, match=message):
+            loads_fdset(text)
+
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError):
             loads_fdset('{"lhs":["A"],"rhs":"B"}\n')

@@ -579,19 +579,20 @@ class TestEvalDependent:
         assert "CategoryName" in loose
 
     @pytest.mark.parametrize("module", [fdq.query, fdq.partition])
-    def test_determinant_is_scored_one_product_short(self, iowa, monkeypatch, module):
-        # {Zip, Address} is scored as Address's partition (2 rows, Zip's
-        # covers 4) split by Zip's ids, so no product is built; DEPENDENT
-        # then scores each one-attribute subset, its own partition
-        products, scored = [], []
+    def test_determinant_is_scored_from_its_partition(self, iowa, monkeypatch, module):
+        # {Zip, Address} is scored on `partition_of`'s product, Address's
+        # partition (2 rows; Zip's covers 4) split by Zip's ids, and with no
+        # split; DEPENDENT then scores each one-attribute subset, its own
+        # partition, which takes no product
+        products, splits = [], []
         real_intersect, real_scoring = fdq.partition.intersect, module.pair_errors
 
         def building(a, b):
-            products.append(a)
+            products.append((a.covered, b.covered))
             return real_intersect(a, b)
 
         def scoring(pli, id_columns, scope_size, bound, split=None):
-            scored.append((pli.covered, split is not None))
+            splits.append(split)
             return real_scoring(pli, id_columns, scope_size, bound, split)
 
         monkeypatch.setattr(fdq.partition, "intersect", building)
@@ -604,9 +605,8 @@ class TestEvalDependent:
             fdq.partition.error_measure(
                 iowa, FDCandidate(frozenset({zip_, address}), category)
             )
-        assert products == []
-        assert scored[0] == (2, True)
-        assert all(not split for _, split in scored[1:])
+        assert products == [(2, 4)]
+        assert splits and all(split is None for split in splits)
 
     def test_empty_attribute_list(self, iowa):
         with pytest.raises(ParameterError):

@@ -1,4 +1,5 @@
 import io
+import sys
 from decimal import Decimal
 
 import pytest
@@ -99,6 +100,20 @@ class TestLoadCsv:
         rel = load_csv(io.BytesIO(b"A\n1\n"))
         assert rel.rows == ((1,),)
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="int() converts integers of any length",
+    )
+    def test_integer_past_the_conversion_limit_names_its_line(self):
+        digits = b"9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(IngestError, match="line 3: integer in 'B'"):
+            load_csv(b"A,B\n1,2\n2," + digits + b"\n")
+
+    def test_decimal_exponent_out_of_range_names_its_line(self):
+        # the null cell takes the conversion path that keeps None
+        with pytest.raises(IngestError, match="line 4: decimal in 'B'"):
+            load_csv(b"A,B\n1,2.5\n2,\n3,1e1000000000000000000\n")
+
 
 class TestFingerprint:
     def test_stable_across_loads(self, data_dir):
@@ -120,6 +135,40 @@ class TestFingerprint:
         a = Relation.build("t", [("A", "decimal")], [[Decimal("1.5")]])
         b = Relation.build("t", [("A", "decimal")], [[Decimal("1.50")]])
         assert a.fingerprint == b.fingerprint
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # past the default context's 28 digits
+            ("1.00000000000000000000000000001", "1.00000000000000000000000000002"),
+            # below its smallest exponent
+            ("1e-9999999", "0"),
+            # above its largest exponent, where the default context overflows
+            ("1e9999999", "2e9999999"),
+        ],
+    )
+    def test_decimals_are_compared_exactly(self, a, b):
+        def fingerprint(value):
+            rows = [[Decimal(value)]]
+            return Relation.build("t", [("A", "decimal")], rows).fingerprint
+
+        assert fingerprint(a) != fingerprint(b)
+
+    def test_derived_fingerprint_sees_a_29th_digit(self):
+        old, new = Decimal("1.00000000000000000000000000001"), Decimal(
+            "1.00000000000000000000000000002"
+        )
+        rows = [[old], [Decimal(2)], [Decimal(3)], [Decimal(4)]]
+        parent = Relation.build("t", [("A", "decimal")], rows)
+        assert parent.fingerprint
+        # one changed row of four: the child's fingerprint is derived
+        child = parent.with_rows([[new], *rows[1:]])
+        fresh = Relation.build("t", [("A", "decimal")], [[new], *rows[1:]])
+        assert child.fingerprint == fresh.fingerprint != parent.fingerprint
+
+    def test_iowa_fingerprint_is_pinned(self, data_dir):
+        # exported dependency sets carry it, so a change would make them stale
+        assert load_csv(data_dir / "iowa.csv").fingerprint == 15099278799887765266
 
     def test_name_does_not_affect_fingerprint(self, data_dir):
         a = load_csv(data_dir / "iowa.csv", name="x")
