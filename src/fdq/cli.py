@@ -402,10 +402,10 @@ def _run_update(session: Session, line: str) -> str:
         if condition is None
         else eval_row_predicate(relation, condition)
     )
-    rows = [
-        row[: meta.index] + (value,) + row[meta.index + 1 :] if i in targets else row
-        for i, row in enumerate(relation.rows)
-    ]
+    rows = list(relation.rows)
+    for i in targets:
+        row = rows[i]
+        rows[i] = row[: meta.index] + (value,) + row[meta.index + 1 :]
     session.relations[table] = relation.with_rows(rows)
     noun = "row" if len(targets) == 1 else "rows"
     return f"updated {len(targets)} {noun} in {table}"

@@ -18,6 +18,18 @@ by the attribute it lacks. No level is built past the size cap, so the
 level at the cap builds no product: each of its nodes keeps that smallest
 subset and the lacking attribute's value ids, and `pair_errors` splits
 the subset's clusters by those ids as it scores.
+
+The snapshot keeps every score, in `Relation.derived` under the bitmask
+of X u {A}, then A and the bound, and a walk sends `pair_errors` only
+the dependents of a node that have no kept score. A kept score decides
+its bound as a new one would: it is exact when within the bound, and
+past it otherwise, whether it was counted from a product or from a base
+and a split. A score at another bound is not used. The error of X -> A
+reads only the X u {A} columns, so `Relation.with_rows` passes a score
+to the child snapshot when its edit left those columns equal, and a
+re-mine after an UPDATE scores only the candidates that touch an updated
+column (Schirmer et al., DynFD, EDBT 2019).
+
 Validation runs serially and in a fixed order, so the outcome does not
 depend on the requested worker count.
 
@@ -114,6 +126,8 @@ def mine_fds(
     if workers < 1:
         raise ParameterError("workers must be at least 1")
     names = relation.attribute_names
+    bound = spec.error_threshold
+    kept = relation.derived
     lhs_universe = _filter_universe(spec.lhs_filter, relation, "determinant")
     rhs_universe = _filter_universe(spec.rhs_filter, relation, "dependent")
 
@@ -141,16 +155,20 @@ def mine_fds(
             ]
             if not todo:
                 continue
-            errors = pair_errors(
-                pli,
-                [ids[a] for a in todo],
-                relation.row_count,
-                spec.error_threshold,
-                split,
-            )
+            # each candidate's kept score, under the bitmask of its columns
+            mask = sum(1 << i for i in node)
+            keys = {a: (mask | 1 << a, a, bound) for a in todo}
+            unscored = [a for a in todo if keys[a] not in kept]
+            if unscored:
+                errors = pair_errors(
+                    pli, [ids[a] for a in unscored], relation.row_count, bound, split
+                )
+                for a, err in zip(unscored, errors):
+                    kept[keys[a]] = err
             alive = False
-            for a, err in zip(todo, errors):
-                if err <= spec.error_threshold:
+            for a in todo:
+                err = kept[keys[a]]
+                if err <= bound:
                     emitted[a].append(lhs)
                     entries.append(
                         FDEntry(

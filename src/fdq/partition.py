@@ -140,16 +140,18 @@ def pli_of(
 def build_pli(relation: Relation, attribute: int) -> PLI:
     """Stripped partition of one attribute over the whole relation.
 
-    Kept on the snapshot: the first request builds it with `pli_of`, later
-    ones read it, and `Relation.with_rows` passes it on to a child whose
-    edit left the attribute equal on every changed row.
+    Kept on the snapshot, in `Relation.derived` under the attribute's bit
+    and `PLI`: the first request builds it with `pli_of`, later ones read
+    it, and `Relation.with_rows` passes it on to a child whose edit left
+    the attribute equal on every changed row.
     """
     if not 0 <= attribute < len(relation.schema):
         raise ContractError(f"attribute index {attribute} out of range")
-    kept = relation.partitions
-    pli = kept.get(attribute)
+    key = (1 << attribute, PLI)
+    kept = relation.derived
+    pli = kept.get(key)
     if pli is None:
-        pli = kept[attribute] = pli_of(relation, [attribute])
+        pli = kept[key] = pli_of(relation, [attribute])
     return pli
 
 

@@ -18,10 +18,15 @@ changed. A decimal cell is digested by its exact normalized value, so
 1.50 and 1.5 agree, and decimals that differ in any digit or exponent
 do not.
 
-A snapshot also keeps what the partition layer built for each of its
-attributes, in `partitions`. This module treats those values as opaque;
-`with_rows` hands one to the child snapshot when every changed row is
-equal on its attribute, since equal values group the same way.
+A snapshot also keeps what later layers derived from its columns, in
+`derived`: the partition layer's partition of one attribute, and the
+miner's score of each dependency candidate X -> A. Each key starts with
+the bitmask of the attributes its value was computed from (bit i for
+attribute i), X u {A} for a score. This module treats the rest of the
+key and the values as opaque; `with_rows` works out once which
+attributes some changed row alters, and hands the child each entry whose
+bitmask has none of them, since equal values group and score the same
+way.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import re
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from functools import cached_property
-from itertools import filterfalse
+from itertools import compress, count, filterfalse
 from typing import IO, Iterable, Sequence, Union
 
 from .errors import (
@@ -89,10 +94,11 @@ class Relation:
         return tuple(range(len(self.rows)))
 
     @cached_property
-    def partitions(self) -> dict[int, object]:
-        """Attribute index -> the partition layer's value for it over the
-        whole snapshot, filled by that layer. Not a field, so equality and
-        hashing ignore it."""
+    def derived(self) -> dict[tuple, object]:
+        """What later layers derived from some of the snapshot's columns
+        over all its rows, filled by those layers; each key starts with
+        the bitmask of those columns (see the module docstring). Not a
+        field, so equality and hashing ignore it."""
         return {}
 
     @staticmethod
@@ -155,35 +161,37 @@ class Relation:
         """New snapshot with the same schema and replaced rows.
 
         Rows passed through unchanged keep their identity, so the rows that
-        may differ are those that are not the parent's row objects. Kept
-        partitions of attributes that every such row leaves equal pass to
-        the child, with the row numbers they are made of. When a fingerprint was already read here and fewer than
-        half the rows differ, the new snapshot's is derived from those rows
-        alone; otherwise the new snapshot computes its own when read, which
-        costs no more.
+        may differ are those that are not the parent's row objects. The
+        attributes that some such row alters are found once, and each
+        `derived` entry computed from none of them passes to the child,
+        with the row numbers the kept partitions are made of. When a
+        fingerprint was already read here and fewer than half the rows
+        differ, the new snapshot's is derived from those rows alone;
+        otherwise the new snapshot computes its own when read, which costs
+        no more.
         """
-        child = Relation(self.name, self.schema, tuple(tuple(r) for r in rows))
+        child = Relation(self.name, self.schema, tuple(map(tuple, rows)))
         # where cached_property keeps what was read
         known = self.__dict__.get("fingerprint")
-        kept = self.__dict__.get("partitions")
-        if (known is None and not kept) or child.row_count != self.row_count:
+        derived = self.__dict__.get("derived")
+        if (known is None and not derived) or child.row_count != self.row_count:
             return child
-        changed = [
-            i for i, (old, new) in enumerate(zip(self.rows, child.rows))
-            if old is not new
-        ]
-        if kept:
-            old_rows, new_rows = self.rows, child.rows
-            child.__dict__["partitions"] = {
-                a: value for a, value in kept.items()
-                if all(old_rows[i][a] == new_rows[i][a] for i in changed)
+        old_rows, new_rows = self.rows, child.rows
+        changed = list(compress(count(), map(operator.is_not, old_rows, new_rows)))
+        if derived:
+            altered = sum(
+                1 << a for a in range(len(self.schema))
+                if not all(old_rows[i][a] == new_rows[i][a] for i in changed)
+            )
+            child.__dict__["derived"] = {
+                key: value for key, value in derived.items() if not key[0] & altered
             }
             child.__dict__["row_numbers"] = self.row_numbers
         if known is None or 2 * len(changed) >= child.row_count:
             return child
         for index in changed:
-            known += _row_digest(index, child.rows[index])
-            known -= _row_digest(index, self.rows[index])
+            known += _row_digest(index, new_rows[index])
+            known -= _row_digest(index, old_rows[index])
         child.__dict__["fingerprint"] = known % _MODULUS
         return child
 
@@ -207,7 +215,10 @@ def _canonical_cell(value: Value) -> bytes:
     if isinstance(value, int):
         return b"i" + str(value).encode()
     if isinstance(value, Decimal):
-        # normalize() so 1.50 and 1.5 (equal values) hash identically
+        # normalize() so 1.50 and 1.5 (equal values) hash identically; it
+        # keeps the sign of a zero, so every zero takes the bytes of 0
+        if not value:
+            return b"d0"
         return b"d" + str(value.normalize(_EXACT)).encode()
     return b"t" + value.encode("utf-8")
 

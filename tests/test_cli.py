@@ -336,6 +336,20 @@ class TestUpdateAndStaleness:
         )
         assert out.startswith("warning: fdset 'fs' is stale")
 
+    def test_update_of_a_signed_zero_to_zero_keeps_fdsets_fresh(self, tmp_path):
+        # -0.0 == 0.0, so no value changed
+        (tmp_path / "t.csv").write_text("A,C\n1,-0.0\n2,1.5\n", encoding="utf-8")
+        session = Session(data_dir=str(tmp_path), clock=lambda: FIXED_CLOCK)
+        *_, out = run(
+            session,
+            "LOAD 't.csv' AS T",
+            "MINEFD fs AS SELECT LHS -> RHS FROM T",
+            'UPDATE T SET "C" = 0.0 WHERE ["C" = 0.0]',
+            "SELECTDEP LHS -> RHS FROM fs",
+        )
+        assert not session.relations["T"].rows[0][1].is_signed()
+        assert not out.startswith("warning:")
+
     def test_repair_shows_up_in_diff(self, data_dir):
         # fixing the zip typo gives the street a single zip, so the
         # one-attribute determinant appears in the re-mined set

@@ -134,7 +134,9 @@ class TestMineFds:
         # deterministic work counters: losing a pruning rule raises the
         # product count, and splitting a larger subset than needed raises
         # the rows covered by the left inputs (410, 213 and 178 when each
-        # node split its prefix), so either fails here, not on a stopwatch
+        # node split its prefix), so either fails here, not on a stopwatch;
+        # a fresh snapshot, since the shared fixture keeps what others built
+        iowa = Relation(iowa.name, iowa.schema, iowa.rows)
         covered = []
         real = fdq.miner.intersect
 
@@ -162,7 +164,9 @@ class TestMineFds:
         self, iowa, monkeypatch, spec, scorings, base_rows
     ):
         # each node at the cap, and no other, is scored from its smallest
-        # subset, split by the attribute it lacks while it is scored
+        # subset, split by the attribute it lacks while it is scored; a
+        # fresh snapshot, since the shared fixture keeps the scores others took
+        iowa = Relation(iowa.name, iowa.schema, iowa.rows)
         covered = []
         real = fdq.miner.pair_errors
 
@@ -204,6 +208,53 @@ class TestMineFds:
         built.clear()
         mine_fds(iowa)
         assert built == []
+
+    def test_kept_scores_are_reused(self, iowa, monkeypatch):
+        # deterministic work counters: (pair_errors calls, dependents scored)
+        # per mine; a fresh snapshot, since the shared fixture keeps scores
+        iowa = Relation(iowa.name, iowa.schema, iowa.rows)
+        scored = []
+        real = fdq.miner.pair_errors
+
+        def counting(pli, id_columns, scope_size, bound, split=None):
+            scored[-1][0] += 1
+            scored[-1][1] += len(id_columns)
+            return real(pli, id_columns, scope_size, bound, split)
+
+        def mine(relation, spec):
+            scored.append([0, 0])
+            mined = mine_fds(relation, spec)
+            assert mined.entries == brute_force_mine(relation, spec).entries
+            return tuple(scored[-1])
+
+        def scores(relation, bound):
+            # (bitmask of X u {A}, A) -> kept error, at one bound
+            return {
+                key[:2]: error for key, error in relation.derived.items()
+                if len(key) == 3 and key[2] == bound
+            }
+
+        monkeypatch.setattr(fdq.miner, "pair_errors", counting)
+        capped = MiningSpec(max_lhs_len=2)
+        loose = MiningSpec(max_lhs_len=2, error_threshold=0.05)
+        assert mine(iowa, capped) == (56, 427)
+        assert mine(iowa, capped) == (0, 0)
+        # another bound decides differently, so nothing is reused
+        assert mine(iowa, loose) == mine(Relation("t", iowa.schema, iowa.rows), loose)
+        assert scored[-1] == [32, 233]
+
+        # the street's zip typo, repaired: two of the ten rows change Zip
+        z, a = iowa.attribute("Zip").index, iowa.attribute("Address").index
+        edited = iowa.with_rows(
+            row[:z] + (51333,) + row[z + 1:] if row[a] == "HWY 71" else row
+            for row in iowa.rows
+        )
+        fresh = Relation(edited.name, edited.schema, edited.rows)
+        assert mine(fresh, capped) == (56, 420)
+        assert mine(edited, capped) == (41, 108)
+        # the 108 are the candidates that read Zip; the rest were kept
+        assert scores(edited, 0.0) == scores(fresh, 0.0)
+        assert sum(bool(mask & 1 << z) for mask, _ in scores(fresh, 0.0)) == 108
 
     def test_bad_parameters(self, iowa):
         with pytest.raises(ParameterError):

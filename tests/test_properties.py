@@ -41,7 +41,7 @@ from fdq.fdstore import (
     loads_fdset,
     parse_fdml,
 )
-from fdq.miner import MiningSpec, mine_fds
+from fdq.miner import MiningSpec, mine_fds, parse_minefd
 from fdq.partition import (
     FDCandidate,
     error_measure,
@@ -827,12 +827,17 @@ def test_updated_fingerprint_equals_a_fresh_hash(case):
     assert now.fingerprint == Relation(now.name, now.schema, now.rows).fingerprint
 
 
+STATEMENT_KINDS = ("update", "equal", "minefd", "holds", "not", "violates", "dependent")
+
+
 @st.composite
-def statement_runs(draw):
+def statement_runs(draw, kinds=STATEMENT_KINDS):
     """A relation and statements that build, keep, pass on and read its
-    partitions: UPDATE of every row or of some, to NULL, to a value or to
-    the value the rows already hold; MINEFD; exact and approximate HOLDS,
-    with and without ON; NOT HOLDS, VIOLATES and DEPENDENT."""
+    partitions and scores: UPDATE of every row or of some, to NULL, to a
+    value or to the value the rows already hold; MINEFD, with or without
+    an LHS LENGTH cap and LHS and RHS LIKE filters; exact and approximate
+    HOLDS, with and without ON; NOT HOLDS, VIOLATES and DEPENDENT. Only
+    the statement kinds named in `kinds` are drawn."""
     relation = draw(relations(min_attrs=2, max_rows=10))
     schema = relation.schema
 
@@ -858,11 +863,20 @@ def statement_runs(draw):
     def bound():
         return draw(st.sampled_from(("0.0", "0.05", "0.2", "0.5")))
 
+    def mining_where():
+        # a cap scores its level by splits, the levels below from products
+        atoms = []
+        if draw(st.booleans()):
+            atoms.append(f"LHS LENGTH <= {draw(st.integers(1, 3))}")
+        for side in ("LHS", "RHS"):
+            if draw(st.booleans()):
+                picked = draw(st.lists(st.sampled_from(schema), min_size=1, unique=True))
+                atoms.append(f"{side} LIKE ({', '.join(map(name, picked))})")
+        return f" WHERE {' AND '.join(atoms)}" if atoms else ""
+
     statements = []
     for i in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(
-            ("update", "equal", "minefd", "holds", "not", "violates", "dependent")
-        ))
+        kind = draw(st.sampled_from(kinds))
         if kind == "update":
             target = draw(st.sampled_from(schema))
             value = "NULL" if draw(st.booleans()) else literal(target)
@@ -876,7 +890,8 @@ def statement_runs(draw):
             )
         elif kind == "minefd":
             statements.append(
-                f"MINEFD f{i} AS SELECT LHS -> RHS, ERROR FROM T ERROR {bound()}"
+                f"MINEFD f{i} AS SELECT LHS -> RHS, ERROR{mining_where()} "
+                f"FROM T ERROR {bound()}"
             )
         elif kind in ("holds", "not"):
             on = f" ON {condition()}" if draw(st.booleans()) else ""
@@ -917,6 +932,31 @@ def test_kept_partitions_answer_like_a_fresh_snapshot(case):
         fresh = Session(relations={"T": Relation(now.name, now.schema, now.rows)})
         assert _outcome(session, statement) == _outcome(fresh, statement)
         assert session.relations["T"] == fresh.relations["T"]
+
+
+@common
+@given(
+    statement_runs(kinds=("update", "equal", "minefd")),
+    st.sampled_from((1, 3, fdq.partition.STAGE_ROWS)),
+)
+def test_kept_scores_mine_like_a_fresh_snapshot(case, stage_rows):
+    # small stages stop scoring past the bound early, so kept scores of
+    # rejected candidates are partial counts
+    relation, statements = case
+    session = Session(relations={"T": relation})
+    with mock.patch.object(fdq.partition, "STAGE_ROWS", stage_rows):
+        for statement in statements:
+            run_command(session, statement)
+            if statement.startswith("MINEFD"):
+                parsed = parse_minefd(statement)
+                spec = parsed.mining_spec()
+                now = session.relations["T"]
+                fresh = Relation(now.name, now.schema, now.rows)
+                assert (
+                    session.fdsets[parsed.name].entries
+                    == mine_fds(fresh, spec).entries
+                    == brute_force_mine(fresh, spec).entries
+                )
 
 
 # --- query algebra -------------------------------------------------------------------

@@ -162,9 +162,23 @@ class TestFingerprint:
         parent = Relation.build("t", [("A", "decimal")], rows)
         assert parent.fingerprint
         # one changed row of four: the child's fingerprint is derived
-        child = parent.with_rows([[new], *rows[1:]])
+        child = parent.with_rows([[new], *parent.rows[1:]])
+        assert "fingerprint" in child.__dict__
         fresh = Relation.build("t", [("A", "decimal")], [[new], *rows[1:]])
         assert child.fingerprint == fresh.fingerprint != parent.fingerprint
+
+    def test_signed_zero_decimals_hash_equally(self):
+        # Decimal.normalize keeps the sign of a zero; -0.0 == 0.0
+        plain = load_csv(b"A\n0.0\n1.5\n")
+        signed = load_csv(b"A\n-0.0\n1.5\n")
+        assert plain.rows == signed.rows
+        assert plain.fingerprint == signed.fingerprint
+        # a child whose fingerprint is derived from its changed row
+        rows = [[Decimal("0E+3")], [Decimal(2)], [Decimal(3)], [Decimal(4)]]
+        parent = Relation.build("t", [("A", "decimal")], rows)
+        assert parent.fingerprint
+        child = parent.with_rows([[Decimal("-0.00")], *parent.rows[1:]])
+        assert child.__dict__["fingerprint"] == parent.fingerprint
 
     def test_iowa_fingerprint_is_pinned(self, data_dir):
         # exported dependency sets carry it, so a change would make them stale
@@ -205,17 +219,17 @@ class TestRelation:
         parent = Relation.build(
             "t", [("A", "integer"), ("B", "integer")], [(1, 1), (1, 2), (2, 2)]
         )
-        parent.partitions.update({0: "kept A", 1: "kept B"})  # opaque here
+        # keys start with the bitmask of the attributes; the rest is opaque
+        kept = {(0b01, "p"): "kept A", (0b10, "p"): "kept B", (0b11, "s"): 0.5}
+        parent.derived.update(kept)
         # row 1 is a new object equal on A; rows 0 and 2 are passed through
         child = parent.with_rows([parent.rows[0], (1, 3), parent.rows[2]])
         assert child == Relation("t", parent.schema, ((1, 1), (1, 3), (2, 2)))
-        assert child.partitions == {0: "kept A"}
+        assert child.derived == {(0b01, "p"): "kept A"}
         assert child.row_numbers is parent.row_numbers
         # an equal value of another type groups the same way
-        assert parent.with_rows([(1, 1), (Decimal("1.0"), 2), (2, 2)]).partitions == {
-            0: "kept A", 1: "kept B"
-        }
-        assert Relation("t", parent.schema, parent.rows).partitions == {}
+        assert parent.with_rows([(1, 1), (Decimal("1.0"), 2), (2, 2)]).derived == kept
+        assert Relation("t", parent.schema, parent.rows).derived == {}
 
 
 class TestRowPredicates:
