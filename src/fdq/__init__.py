@@ -22,15 +22,7 @@ from .relation import (
     eval_row_predicate,
     load_csv,
 )
-from .partition import (
-    FDCandidate,
-    PLI,
-    build_pli,
-    error_measure,
-    fd_holds,
-    intersect,
-    pli_of,
-)
+from .partition import PLI, build_pli, error_measure, intersect, pli_of
 from .result import ResultTable
 from .fdstore import (
     FDEntry,

@@ -10,13 +10,15 @@ itself does not re-check it, since the miner builds one per product.
 The error of a candidate X -> A is the fraction of ordered row pairs that
 agree on X but disagree on A, out of all n*(n-1) ordered pairs. It is 0
 exactly when the dependency holds. For n <= 1 the denominator degenerates
-and the error is defined as 0. The miner, approximate HOLDS and DEPENDENT
-all score through `pair_errors`, which never builds the X u {A} partition.
-Given the value ids of one more attribute y as `split`, it scores X u {y}
+and the error is defined as 0. Every score comes from `pair_errors`, which
+never builds the X u {A} partition. Queries reach it through one scorer,
+`error_measure`, which scores any number of dependents of one determinant
+over its `partition_of`: approximate HOLDS asks for one, DEPENDENT for
+all it tries. The miner calls `pair_errors` itself, since it keeps scores
+and, given the value ids of one more attribute y as `split`, scores X u {y}
 from X's partition, keying each row by its (cluster, y value), so the
-X u {y} partition is not built either. Only the miner passes `split`, to
-score the level at its size cap, which no later level splits; a query
-scores its determinant's `partition_of`.
+X u {y} partition is not built either; it does so at the level of its
+size cap, which no later level splits.
 
 Each snapshot keeps the whole-table partition of every single attribute
 once it is built (`build_pli`), and the partition of an attribute set,
@@ -81,22 +83,6 @@ class PLI:
             for row in cluster:
                 ids[row] = first
         return ids
-
-    def pair_count(self) -> int:
-        """Ordered row pairs agreeing on the underlying attribute set."""
-        return sum(len(c) * (len(c) - 1) for c in self.clusters)
-
-
-@dataclass(frozen=True)
-class FDCandidate:
-    """Non-trivial dependency candidate over attribute indexes."""
-
-    lhs: frozenset[int]
-    rhs: int
-
-    def __post_init__(self):
-        if self.rhs in self.lhs:
-            raise ContractError("trivial candidate: rhs inside lhs always holds")
 
 
 def grouped(
@@ -299,32 +285,23 @@ def violating_rows(
     return bad
 
 
-def fd_holds(
-    relation: Relation, cand: FDCandidate, scope: Iterable[int] | None = None
-) -> bool:
-    """True iff no row pair in scope agrees on lhs while disagreeing on rhs.
-
-    Decided on the full partition: every lhs cluster must be single-valued
-    on rhs. Cardinality shortcuts over stripped partitions misjudge
-    clusters that merely shrink, so none are used.
-    """
-    return not violating_rows(relation, sorted(cand.lhs), cand.rhs, scope)
-
-
 def error_measure(
     relation: Relation,
-    cand: FDCandidate,
+    lhs: Sequence[int],
+    dependents: Sequence[int],
     scope: Iterable[int] | None = None,
     bound: float = inf,
-) -> float:
-    """Violating ordered pairs / all ordered pairs, within the scope; exact
-    when within `bound`, otherwise some value past it (see `pair_errors`)."""
+) -> list[float]:
+    """Error of lhs -> A for each dependent A, as violating ordered pairs /
+    all ordered pairs within the scope: one partition of lhs, one
+    `pair_errors` call. Exact when within `bound`, otherwise some value past
+    it; a dependent inside lhs agrees on every cluster and scores 0.0."""
     if scope is not None:
         scope = set(scope)
         if not scope:
             raise ContractError("error measure needs a non-empty scope")
     size = relation.row_count if scope is None else len(scope)
-    lhs_pli = partition_of(relation, sorted(cand.lhs), scope)
+    pli = partition_of(relation, lhs, scope)
     # value ids over the whole table tell the scope's values apart as well
-    rhs_ids = build_pli(relation, cand.rhs).ids
-    return pair_errors(lhs_pli, [rhs_ids], size, bound)[0]
+    ids = [build_pli(relation, a).ids for a in dependents]
+    return pair_errors(pli, ids, size, bound)

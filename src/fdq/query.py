@@ -5,7 +5,9 @@ witnesses against it, VIOLATES flags suspect values that sit close to a
 conflicting sibling, and DEPENDENT projects the attributes a given set
 minimally determines. Dependency predicates evaluate against the whole
 table (or their ON scope) first; the surrounding WHERE tree then combines
-those row sets with plain filters using ordinary set algebra.
+those row sets with plain filters using ordinary set algebra. Witnesses
+come from `partition.violating_rows`, and every dependency error that
+approximate HOLDS and DEPENDENT test from `partition.error_measure`.
 """
 
 from __future__ import annotations
@@ -17,14 +19,7 @@ from operator import itemgetter
 from typing import Sequence, Union
 
 from .errors import ContractError, ParameterError, ParseError
-from .partition import (
-    FDCandidate,
-    build_pli,
-    error_measure,
-    pair_errors,
-    partition_of,
-    violating_rows,
-)
+from .partition import error_measure, partition_of, violating_rows
 from .relation import (
     COMPARISON_OPS,
     And,
@@ -94,9 +89,11 @@ def parse_literal(ts: TokenStream) -> Value:
     if tok.kind == "punct" and tok.text == "-":
         ts.advance()
         negative = True
-    num = ts.expect_number()
-    value = num.value
-    return -value if negative else value
+    value = ts.expect_number().value
+    if not negative:
+        return value
+    # unary minus would round a decimal to the context's precision
+    return value.copy_negate() if isinstance(value, Decimal) else -value
 
 
 def _parse_comparison(ts: TokenStream, bracketed: bool) -> Comparison:
@@ -361,10 +358,7 @@ def eval_holds(
         return rows - bad
     if not bad:  # also covers a trivial candidate, dependent inside the determinant
         return rows
-    measured = error_measure(
-        relation, FDCandidate(frozenset(lhs_idx), rhs_idx), scope, error
-    )
-    if measured <= error:
+    if error_measure(relation, lhs_idx, [rhs_idx], scope, error)[0] <= error:
         return rows - bad
     return set()
 
@@ -519,13 +513,10 @@ def eval_dependent(
     if not 0.0 <= bound < 1.0:
         raise ParameterError(f"error bound {bound} outside [0, 1)")
     x = sorted(set(_resolve(relation, attributes)))
-    n = relation.row_count
     outside = [meta.index for meta in relation.schema if meta.index not in x]
-    ids = {a: build_pli(relation, a).ids for a in outside}
 
     def passing(lhs: list[int], candidates: list[int]) -> set[int]:
-        pli = partition_of(relation, lhs)
-        errors = pair_errors(pli, [ids[a] for a in candidates], n, bound)
+        errors = error_measure(relation, lhs, candidates, bound=bound)
         return {a for a, err in zip(candidates, errors) if err <= bound}
 
     qualifying = sorted(passing(x, outside))

@@ -23,6 +23,7 @@ from fdq.cli import (
 )
 from fdq.errors import KindMismatchError, NameResolutionError, ParseError
 from fdq.fdstore import load_fdset
+from fdq.query import execute, parse_extended_select
 from fdq.result import ResultTable
 
 FIXED_CLOCK = "2026-01-01T00:00:00Z"
@@ -349,6 +350,33 @@ class TestUpdateAndStaleness:
         )
         assert not session.relations["T"].rows[0][1].is_signed()
         assert not out.startswith("warning:")
+
+    # negative decimals past the 28th digit keep every digit
+    LONG_C = "C\n-1\n-1.00000000000000000000000000001\n1.00000000000000000000000000001\n"
+
+    def test_negative_literal_past_the_28th_digit_selects_its_own_row(self, tmp_path):
+        (tmp_path / "n.csv").write_text(self.LONG_C, encoding="utf-8")
+        session = Session(data_dir=str(tmp_path), clock=lambda: FIXED_CLOCK)
+        session, _ = run_command(session, "LOAD 'n.csv' AS N")
+        relation = session.relations["N"]
+        statement = parse_extended_select(
+            'SELECT * FROM N WHERE ["C" = -1.00000000000000000000000000001]'
+        )
+        assert execute(statement, relation).rows == (
+            (Decimal("-1.00000000000000000000000000001"),),
+        )
+
+    def test_update_writes_a_negative_literal_exactly(self, tmp_path):
+        (tmp_path / "n.csv").write_text(self.LONG_C, encoding="utf-8")
+        session = Session(data_dir=str(tmp_path), clock=lambda: FIXED_CLOCK)
+        run(
+            session,
+            "LOAD 'n.csv' AS N",
+            'UPDATE N SET "C" = -1.00000000000000000000000000002 '
+            'WHERE ["C" = 1.00000000000000000000000000001]',
+        )
+        value = session.relations["N"].rows[2][0]
+        assert str(value) == "-1.00000000000000000000000000002"
 
     def test_repair_shows_up_in_diff(self, data_dir):
         # fixing the zip typo gives the street a single zip, so the

@@ -5,12 +5,11 @@ from canonical import assert_canonical
 
 from fdq.errors import ContractError
 from fdq.partition import (
-    FDCandidate,
     PLI,
     STAGE_ROWS,
     error_measure,
-    fd_holds,
     pair_errors,
+    violating_rows,
 )
 from fdq.partition import build_pli as _build_pli
 from fdq.partition import intersect as _intersect
@@ -120,13 +119,12 @@ class TestIntersect:
 
 
 class TestFdHolds:
+    # X -> A holds exactly when it has no witness rows
     def test_zip_determines_pack(self, iowa):
-        cand = FDCandidate(frozenset({idx(iowa, "Zip")}), idx(iowa, "Pack"))
-        assert fd_holds(iowa, cand)
+        assert not violating_rows(iowa, [idx(iowa, "Zip")], idx(iowa, "Pack"))
 
     def test_address_does_not_determine_zip(self, iowa):
-        cand = FDCandidate(frozenset({idx(iowa, "Address")}), idx(iowa, "Zip"))
-        assert not fd_holds(iowa, cand)
+        assert violating_rows(iowa, [idx(iowa, "Address")], idx(iowa, "Zip"))
 
     def test_shrinking_cluster_is_not_enough(self):
         # two clusters merge rows yet one still disagrees on B; cardinality
@@ -136,63 +134,64 @@ class TestFdHolds:
             [("A", "integer"), ("B", "integer")],
             [[1, 1], [1, 1], [1, 2], [2, 3], [3, 3]],
         )
-        cand = FDCandidate(frozenset({0}), 1)
-        assert not fd_holds(rel, cand)
-        assert error_measure(rel, cand) > 0
+        assert violating_rows(rel, [0], 1)
+        assert error_measure(rel, [0], [1])[0] > 0
 
-    def test_trivial_candidate_rejected_at_construction(self):
-        with pytest.raises(ContractError):
-            FDCandidate(frozenset({1, 2}), 1)
+    def test_trivial_dependency_has_no_witnesses_and_scores_zero(self):
+        rel = Relation.build(
+            "t",
+            [("A", "integer"), ("B", "integer"), ("C", "integer")],
+            [[1, 1, 1], [1, 2, 1], [2, 1, 2], [1, 1, 3]],
+        )
+        assert not violating_rows(rel, [1, 2], 1)
+        assert error_measure(rel, [1, 2], [1]) == [0.0]
 
     def test_scoped_check(self, iowa):
-        cand = FDCandidate(frozenset({idx(iowa, "Address")}), idx(iowa, "Zip"))
-        assert not fd_holds(iowa, cand, scope={1, 2, 5, 7})
-        assert fd_holds(iowa, cand, scope={0, 1, 2})
+        lhs, rhs = [idx(iowa, "Address")], idx(iowa, "Zip")
+        assert violating_rows(iowa, lhs, rhs, scope={1, 2, 5, 7})
+        assert not violating_rows(iowa, lhs, rhs, scope={0, 1, 2})
 
 
 class TestErrorMeasure:
     def test_category_to_categoryname(self, iowa):
-        cand = FDCandidate(
-            frozenset({idx(iowa, "Category")}), idx(iowa, "CategoryName")
-        )
-        assert error_measure(iowa, cand) == 4 / 90
+        lhs, rhs = [idx(iowa, "Category")], idx(iowa, "CategoryName")
+        assert error_measure(iowa, lhs, [rhs]) == [4 / 90]
 
     def test_address_to_zip(self, iowa):
-        cand = FDCandidate(frozenset({idx(iowa, "Address")}), idx(iowa, "Zip"))
-        assert error_measure(iowa, cand) == 2 / 90
+        assert error_measure(iowa, [idx(iowa, "Address")], [idx(iowa, "Zip")]) == [
+            2 / 90
+        ]
 
     def test_holding_fd_has_zero_error(self, iowa):
-        cand = FDCandidate(frozenset({idx(iowa, "Zip")}), idx(iowa, "Pack"))
-        assert error_measure(iowa, cand) == 0.0
+        assert error_measure(iowa, [idx(iowa, "Zip")], [idx(iowa, "Pack")]) == [0.0]
 
     def test_agrees_with_pairwise_count(self, iowa):
         names = iowa.attribute_names
         for lhs_name, rhs_name in itertools.permutations(names, 2):
             lhs, rhs = [idx(iowa, lhs_name)], idx(iowa, rhs_name)
-            cand = FDCandidate(frozenset(lhs), rhs)
-            assert error_measure(iowa, cand) == pairwise_error(iowa, lhs, rhs)
+            assert error_measure(iowa, lhs, [rhs]) == [pairwise_error(iowa, lhs, rhs)]
 
     def test_singleton_scope_is_zero(self, iowa):
-        cand = FDCandidate(frozenset({idx(iowa, "Address")}), idx(iowa, "Zip"))
-        assert error_measure(iowa, cand, scope={3}) == 0.0
+        lhs, rhs = [idx(iowa, "Address")], idx(iowa, "Zip")
+        assert error_measure(iowa, lhs, [rhs], scope={3}) == [0.0]
 
     def test_empty_scope_rejected(self, iowa):
-        cand = FDCandidate(frozenset({idx(iowa, "Address")}), idx(iowa, "Zip"))
+        lhs, rhs = [idx(iowa, "Address")], idx(iowa, "Zip")
         with pytest.raises(ContractError):
-            error_measure(iowa, cand, scope=set())
+            error_measure(iowa, lhs, [rhs], scope=set())
 
     def test_empty_relation_is_zero(self):
         rel = load_csv(b"A,B\n")
-        assert error_measure(rel, FDCandidate(frozenset({0}), 1)) == 0.0
+        assert error_measure(rel, [0], [1]) == [0.0]
 
     def test_larger_lhs_never_increases_error(self, iowa):
-        rhs = idx(iowa, "Zip")
-        base = FDCandidate(frozenset({idx(iowa, "Address")}), rhs)
+        rhs, address = idx(iowa, "Zip"), idx(iowa, "Address")
+        (base,) = error_measure(iowa, [address], [rhs])
         for extra in range(len(iowa.schema)):
-            if extra == rhs or extra == idx(iowa, "Address"):
+            if extra == rhs or extra == address:
                 continue
-            grown = FDCandidate(base.lhs | {extra}, rhs)
-            assert error_measure(iowa, grown) <= error_measure(iowa, base)
+            (grown,) = error_measure(iowa, [address, extra], [rhs])
+            assert grown <= base
 
 
 class CountingIds(list):

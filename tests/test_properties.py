@@ -43,14 +43,13 @@ from fdq.fdstore import (
 )
 from fdq.miner import MiningSpec, mine_fds, parse_minefd
 from fdq.partition import (
-    FDCandidate,
     error_measure,
-    fd_holds,
     grouped,
     intersect,
     pair_errors,
     partition_of,
     pli_of,
+    violating_rows,
 )
 from fdq.query import (
     ColumnProjection,
@@ -287,9 +286,9 @@ def test_exact_holds_means_no_disagreeing_pair(case):
 @given(relations_with_fd(), st.sampled_from((0.0, 0.01, 0.1, 0.5)))
 def test_approximate_holds_is_staged(case, bound):
     relation, lhs, rhs = case
-    lhs_idx = frozenset(relation.attribute(n).index for n in lhs)
+    lhs_idx = [relation.attribute(n).index for n in lhs]
     rhs_idx = relation.attribute(rhs).index
-    measured = error_measure(relation, FDCandidate(lhs_idx, rhs_idx))
+    (measured,) = error_measure(relation, lhs_idx, [rhs_idx])
     kept = eval_holds(relation, lhs, rhs, error=bound)
     if measured <= bound:
         assert kept == eval_holds(relation, lhs, rhs)
@@ -308,35 +307,41 @@ def test_error_measure_shrinks_as_lhs_grows(case):
         for m in relation.schema
         if m.index != rhs_idx and m.index not in lhs_idx
     ]
-    base = error_measure(relation, FDCandidate(frozenset(lhs_idx), rhs_idx))
+    (base,) = error_measure(relation, lhs_idx, [rhs_idx])
     for extra in others:
-        widened = error_measure(
-            relation, FDCandidate(frozenset(lhs_idx) | {extra}, rhs_idx)
-        )
+        (widened,) = error_measure(relation, [*lhs_idx, extra], [rhs_idx])
         assert widened <= base + 1e-12
 
 
 @common
-@given(relations_with_fd())
-def test_error_measure_agrees_with_pairwise_oracle(case):
-    relation, lhs, rhs = case
+@given(relations_with_fd(), st.data())
+def test_error_measure_agrees_with_pairwise_oracle(case, data):
+    # every attribute in one call, those inside the determinant included,
+    # over the whole table or a drawn non-empty scope
+    relation, lhs, _ = case
     lhs_idx = [relation.attribute(n).index for n in lhs]
-    rhs_idx = relation.attribute(rhs).index
     n = relation.row_count
-    violating = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a, b = relation.rows[i], relation.rows[j]
-            if all(a[k] == b[k] for k in lhs_idx) and a[rhs_idx] != b[rhs_idx]:
-                violating += 1
-    expected = 0.0 if n <= 1 else violating / (n * n - n)
-    measured = error_measure(relation, FDCandidate(frozenset(lhs_idx), rhs_idx))
-    assert abs(measured - expected) < 1e-12
-    assert fd_holds(relation, FDCandidate(frozenset(lhs_idx), rhs_idx)) == (
-        violating == 0
-    )
+    scope = None
+    if n and data.draw(st.booleans()):
+        scope = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    indices = range(n) if scope is None else sorted(scope)
+    dependents = [m.index for m in relation.schema]
+    measured = error_measure(relation, lhs_idx, dependents, scope)
+    assert len(measured) == len(dependents)
+    size = len(indices)
+    for rhs_idx, error in zip(dependents, measured):
+        violating = 0
+        for i in indices:
+            for j in indices:
+                a, b = relation.rows[i], relation.rows[j]
+                if all(a[k] == b[k] for k in lhs_idx) and a[rhs_idx] != b[rhs_idx]:
+                    violating += 1
+        if rhs_idx in lhs_idx:
+            assert error == 0.0
+        expected = 0.0 if size <= 1 else violating / (size * size - size)
+        assert abs(error - expected) < 1e-12
+        witnesses = violating_rows(relation, lhs_idx, rhs_idx, scope)
+        assert (not witnesses) == (violating == 0)
 
 
 @common
@@ -539,7 +544,7 @@ def kernel_cases(draw):
 def unstaged_pair_errors(pli, id_columns, scope_size):
     """The kernel before staging: one count over every clustered row."""
     denominator = scope_size * scope_size - scope_size
-    agree_lhs = pli.pair_count()
+    agree_lhs = sum(len(c) * (len(c) - 1) for c in pli.clusters)
     n = pli.relation_size
     rows = list(chain.from_iterable(pli.clusters))
     tags = [cid * n for cid, cluster in enumerate(pli.clusters) for _ in cluster]
@@ -694,8 +699,8 @@ def test_wildcard_cfd_confidence_is_one_exactly_when_fd_holds(case):
     cfd = CFD(tuple(lhs), rhs, tableau)
     confidence = cfd_confidence(relation, cfd)
     assert 0.0 <= confidence <= 1.0
-    lhs_idx = frozenset(relation.attribute(n).index for n in lhs)
-    holds = fd_holds(relation, FDCandidate(lhs_idx, relation.attribute(rhs).index))
+    lhs_idx = [relation.attribute(n).index for n in lhs]
+    holds = not violating_rows(relation, lhs_idx, relation.attribute(rhs).index)
     assert (confidence == 1.0) == holds
 
 

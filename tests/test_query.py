@@ -28,7 +28,6 @@ from fdq.query import (
     select_to_text,
     value_distance,
 )
-from fdq.partition import FDCandidate
 from fdq.relation import And, Comparison, Not, Or, Relation, TRUE
 
 # The fixture's on-scope workhorse: restrict to large bottles in the bourbon
@@ -282,6 +281,20 @@ class TestPrint:
         ast = parse_extended_select('SELECT * FROM t WHERE ["a" = "x"]')
         assert select_to_text(ast) == "SELECT * FROM t WHERE \"a\" = 'x'"
 
+    @pytest.mark.parametrize(
+        "literal, printed",
+        [
+            ("-1.00000000000000000000000000001", "-1.00000000000000000000000000001"),
+            ("-0.0", "-0.0"),  # a decimal zero keeps its sign
+            ("-0", "0"),  # an integer zero has none
+            ("-12", "-12"),
+        ],
+    )
+    def test_negative_literals_print_back(self, literal, printed):
+        ast = parse_extended_select(f'SELECT * FROM t WHERE "c" = {literal}')
+        assert select_to_text(ast) == f'SELECT * FROM t WHERE "c" = {printed}'
+        assert parse_extended_select(select_to_text(ast)) == ast
+
 
 class TestEvalHolds:
     def test_exact_full_table(self, iowa):
@@ -335,9 +348,9 @@ class TestEvalHolds:
         bounds = []
         real = fdq.query.error_measure
 
-        def counting(relation, cand, scope=None, bound=float("inf")):
+        def counting(relation, lhs, dependents, scope=None, bound=float("inf")):
             bounds.append(bound)
-            return real(relation, cand, scope, bound)
+            return real(relation, lhs, dependents, scope, bound)
 
         monkeypatch.setattr(fdq.query, "error_measure", counting)
         eval_holds(iowa, lhs, rhs, error=bound)
@@ -582,10 +595,11 @@ class TestEvalDependent:
     def test_determinant_is_scored_from_its_partition(self, iowa, monkeypatch, module):
         # {Zip, Address} is scored on `partition_of`'s product, Address's
         # partition (2 rows; Zip's covers 4) split by Zip's ids, and with no
-        # split; DEPENDENT then scores each one-attribute subset, its own
-        # partition, which takes no product
+        # split, whether DEPENDENT (in fdq.query) or a direct `error_measure`
+        # call asks; DEPENDENT then scores each one-attribute subset, its
+        # own partition, which takes no product
         products, splits = [], []
-        real_intersect, real_scoring = fdq.partition.intersect, module.pair_errors
+        real_intersect, real_scoring = fdq.partition.intersect, fdq.partition.pair_errors
 
         def building(a, b):
             products.append((a.covered, b.covered))
@@ -596,15 +610,13 @@ class TestEvalDependent:
             return real_scoring(pli, id_columns, scope_size, bound, split)
 
         monkeypatch.setattr(fdq.partition, "intersect", building)
-        monkeypatch.setattr(module, "pair_errors", scoring)
+        monkeypatch.setattr(fdq.partition, "pair_errors", scoring)
         zip_, address = iowa.attribute("Zip").index, iowa.attribute("Address").index
         if module is fdq.query:
             eval_dependent(iowa, ["Zip", "Address"])
         else:
             category = iowa.attribute("Category").index
-            fdq.partition.error_measure(
-                iowa, FDCandidate(frozenset({zip_, address}), category)
-            )
+            fdq.partition.error_measure(iowa, [zip_, address], [category])
         assert products == [(2, 4)]
         assert splits and all(split is None for split in splits)
 
