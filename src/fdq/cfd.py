@@ -2,10 +2,11 @@
 
 A conditional dependency embeds X -> A with a pattern tableau (Fan et al.,
 TODS 2008) whose cells are wildcards (None) or (op, constant) constraints.
-`_resolve` is the one place a tableau meets a relation: it finds each
-attribute's column and checks each cell against it, so matching, support
-and confidence read cells alike. `condition_to_tableau` compiles an ON
-scope of the extended SELECT into a tableau.
+`_resolve` is the one place a tableau meets a relation: it checks that
+each attribute names a column and turns each pattern row into its cells'
+comparisons, which `eval_row_predicate` checks and evaluates, so
+matching, support and confidence read cells alike. `condition_to_tableau`
+compiles an ON scope of the extended SELECT into a tableau.
 """
 
 from __future__ import annotations
@@ -14,19 +15,16 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .errors import ContractError, KindMismatchError
+from .errors import ContractError
 from .partition import grouped
 from .relation import (
-    COMPARISON_OPS,
     And,
     Comparison,
     Not,
     Or,
     Relation,
     RowPredicate,
-    Value,
-    check_comparable,
-    compare_values,
+    eval_row_predicate,
 )
 
 Cell = Union[None, tuple]  # None is a wildcard; otherwise (op, constant)
@@ -71,41 +69,30 @@ class CFD:
 
 # --- matching -------------------------------------------------------------------
 
-def cell_matches(value: Value, cell: Cell) -> bool:
-    return cell is None or compare_values(value, *cell)
+def _resolve(relation: Relation, tableau: PatternTableau) -> list[list[Comparison]]:
+    """Each pattern row as the comparisons of its constrained cells.
 
-
-def _resolve(
-    relation: Relation, tableau: PatternTableau
-) -> list[list[tuple[int, Cell]]]:
-    """Each pattern row as (column index, cell) pairs.
-
-    Raises NameResolutionError for an attribute the relation lacks and
-    KindMismatchError for an unknown operator or a constant the column's
-    kind cannot meet.
+    Raises NameResolutionError for an attribute the relation lacks,
+    wildcards included; `eval_row_predicate` checks the cells.
     """
-    metas = [relation.attribute(a) for a in tableau.attributes]
-    for row in tableau.rows:
-        for meta, cell in zip(metas, row):
-            if cell is not None:
-                op, constant = cell
-                if op not in COMPARISON_OPS:
-                    raise KindMismatchError(f"unknown operator {op!r}")
-                check_comparable(meta.kind, constant)
-    return [[(m.index, cell) for m, cell in zip(metas, row)] for row in tableau.rows]
+    for attribute in tableau.attributes:
+        relation.attribute(attribute)
+    return [
+        [
+            Comparison(a, *cell)
+            for a, cell in zip(tableau.attributes, row) if cell is not None
+        ]
+        for row in tableau.rows
+    ]
 
 
-def _matches(row: tuple, pattern: list[tuple[int, Cell]]) -> bool:
-    return all(cell_matches(row[j], cell) for j, cell in pattern)
+def _rows(relation: Relation, comparisons: list[Comparison]) -> set[int]:
+    return eval_row_predicate(relation, And(tuple(comparisons)))
 
 
 def tableau_match_rows(relation: Relation, tableau: PatternTableau) -> set[int]:
     """Rows matched by at least one pattern row."""
-    patterns = _resolve(relation, tableau)
-    return {
-        i for i, row in enumerate(relation.rows)
-        if any(_matches(row, pattern) for pattern in patterns)
-    }
+    return set().union(*(_rows(relation, p) for p in _resolve(relation, tableau)))
 
 
 # --- scoring --------------------------------------------------------------------
@@ -140,28 +127,27 @@ def cfd_confidence(relation: Relation, cfd: CFD) -> float:
     pattern's dependent cell; if no value is compatible the group drops
     entirely. An empty relation scores 1.0.
     """
-    patterns = _resolve(relation, cfd.tableau)
-    lhs_idx = [relation.attribute(a).index for a in cfd.lhs]
-    rhs_idx = relation.attribute(cfd.rhs).index
     # a pattern's determinant cells pick the groups it applies to; its
     # dependent cell then limits the values a picked group may keep
-    picks = [[(j, c) for j, c in p if j != rhs_idx] for p in patterns]
-    limits = [[(j, c) for j, c in p if j == rhs_idx] for p in patterns]
+    picks, admits = [], []
+    for pattern in _resolve(relation, cfd.tableau):
+        picks.append(_rows(relation, [c for c in pattern if c.attribute != cfd.rhs]))
+        admits.append(_rows(relation, [c for c in pattern if c.attribute == cfd.rhs]))
+    lhs_idx = [relation.attribute(a).index for a in cfd.lhs]
+    rhs_idx = relation.attribute(cfd.rhs).index
     n = relation.row_count
     if n == 0:
         return 1.0
     rows = relation.rows
     kept = 0
     for group in grouped(relation, lhs_idx).values():
-        applying = [
-            limits[p] for p, pick in enumerate(picks) if _matches(rows[group[0]], pick)
-        ]
+        applying = [admit for pick, admit in zip(picks, admits) if group[0] in pick]
         if not applying:
             kept += len(group)
             continue
         counts = Counter(
             rows[i][rhs_idx] for i in group
-            if all(_matches(rows[i], limit) for limit in applying)
+            if all(i in admitted for admitted in applying)
         )
         if counts:
             kept += max(counts.values())
@@ -178,7 +164,8 @@ def _dnf(node, negate: bool = False) -> list[list[Comparison]]:
     `negate` is set: negations move down to the comparisons, flipping their
     operators, and De Morgan turns a negated AND into an OR and back."""
     if isinstance(node, Comparison):
-        # an unknown operator is kept as it is, for `_resolve` to reject
+        # an unknown operator is kept as it is, for `eval_row_predicate`
+        # to reject
         op = _FLIP.get(node.op, node.op) if negate else node.op
         return [[Comparison(node.attribute, op, node.constant)]]
     if isinstance(node, Not):
@@ -207,7 +194,8 @@ def condition_to_tableau(
     as unmatched on both sides. Atoms must stay within lhs and rhs, and a
     disjunct may constrain an attribute only once; either violation is an
     error because the cell shape cannot express it. The tableau is
-    checked against the relation before it is returned.
+    matched against the relation once before it is returned, which checks
+    its cells.
     """
     attributes = tuple(dict.fromkeys(list(lhs) + [rhs]))
     rows = []
@@ -225,5 +213,5 @@ def condition_to_tableau(
                 )
         rows.append(tuple(cells.get(a) for a in attributes))
     tableau = PatternTableau(attributes, tuple(dict.fromkeys(rows)))
-    _resolve(relation, tableau)
+    tableau_match_rows(relation, tableau)
     return tableau

@@ -307,9 +307,13 @@ def is_implied(entry: FDEntry, fdset: FDSet) -> bool:
 
 
 def diff_fdsets(
-    old: FDSet, new: FDSet, *, tolerance: float = 1e-12
+    old: FDSet, new: FDSet
 ) -> tuple[tuple[FDEntry, ...], tuple[FDEntry, ...], tuple[tuple[FDEntry, FDEntry], ...]]:
-    """(added, removed, error-changed) between two sets over the same table."""
+    """(added, removed, error-changed) between two sets over the same table.
+
+    Any difference in error is a change: mined errors are exact, and
+    `.fdset` files keep them exactly.
+    """
     if old.table_binding != new.table_binding:
         raise ContractError(
             f"diff across tables: {old.table_binding!r} vs {new.table_binding!r}"
@@ -329,7 +333,7 @@ def diff_fdsets(
             (
                 (old_by_key[k], new_by_key[k])
                 for k in old_by_key.keys() & new_by_key.keys()
-                if abs(old_by_key[k].error - new_by_key[k].error) > tolerance
+                if old_by_key[k].error != new_by_key[k].error
             ),
             key=lambda pair: canonical_key(pair[0]),
         )

@@ -8,16 +8,18 @@ cluster by cluster in growing stages and drops a dependent as soon as
 its partial count is past the error threshold, which a partial count can
 decide because violating pairs only accumulate. Most candidates fail,
 most of those within the first stage, and only those that pass are
-counted over every clustered row, so emitted errors stay exact. A
-candidate is skipped once a smaller determinant for the same dependent
-has been emitted, so only minimal dependencies surface. A node whose
-every dependent is settled that way is dead: no superset can yield a
-candidate, so level k+1 builds only the nodes whose k-subsets are all
-live, each by one partition product: the smallest of those subsets split
-by the attribute it lacks. No level is built past the size cap, so the
-level at the cap builds no product: each of its nodes keeps that smallest
-subset and the lacking attribute's value ids, and `pair_errors` splits
-the subset's clusters by those ids as it scores.
+counted over every clustered row, so emitted errors stay exact. Each
+node X carries its open dependents, TANE's C+(X): at level 1 every
+dependent but X's attribute, and above it the dependents still past the
+bound at every subset of X one smaller. A dependent within the bound at
+a node is emitted there and so is settled for all its supersets, which
+keeps every emitted dependency minimal. Level k+1 builds only the nodes
+whose k-subsets share an open dependent, each by one partition product:
+the smallest of those subsets split by the attribute it lacks. No level
+is built past the size cap, so the level at the cap builds no product:
+each of its nodes keeps that smallest subset and the lacking attribute's
+value ids, and `pair_errors` splits the subset's clusters by those ids
+as it scores.
 
 The snapshot keeps every score, in `Relation.derived` under the bitmask
 of X u {A}, then A and the bound, and a walk sends `pair_errors` only
@@ -135,26 +137,20 @@ def mine_fds(
         a: build_pli(relation, a) for a in sorted(set(lhs_universe) | set(rhs_universe))
     }
     ids = {a: singles[a].ids for a in rhs_universe}
-    emitted: dict[int, list[frozenset[int]]] = {a: [] for a in rhs_universe}
     entries: list[FDEntry] = []
 
     # nodes are ascending tuples of attribute indexes, each with its
-    # partition and, at the size cap, the ids of the attribute that
-    # partition lacks (see below)
-    level: dict[tuple[int, ...], tuple[PLI, list[int] | None]] = {
-        (a,): (singles[a], None) for a in lhs_universe
+    # partition, at the size cap the ids of the attribute that partition
+    # lacks (see below), and its open dependents
+    level: dict[tuple[int, ...], tuple[PLI, list[int] | None, set[int]]] = {
+        (a,): (singles[a], None, set(rhs_universe) - {a}) for a in lhs_universe
     }
     size = 1
     while level:
-        live: list[tuple[int, ...]] = []
-        for node, (pli, split) in level.items():
-            lhs = frozenset(node)
-            todo = [
-                a for a in rhs_universe
-                if a not in lhs and not any(smaller <= lhs for smaller in emitted[a])
-            ]
-            if not todo:
-                continue
+        # each scored node with a dependent past the bound, and those dependents
+        live: dict[tuple[int, ...], set[int]] = {}
+        for node, (pli, split, open_rhs) in level.items():
+            todo = sorted(open_rhs)
             # each candidate's kept score, under the bitmask of its columns
             mask = sum(1 << i for i in node)
             keys = {a: (mask | 1 << a, a, bound) for a in todo}
@@ -165,50 +161,48 @@ def mine_fds(
                 )
                 for a, err in zip(unscored, errors):
                     kept[keys[a]] = err
-            alive = False
             for a in todo:
                 err = kept[keys[a]]
                 if err <= bound:
-                    emitted[a].append(lhs)
                     entries.append(
                         FDEntry(
-                            lhs=tuple(sorted(names[i] for i in lhs)),
+                            lhs=tuple(sorted(names[i] for i in node)),
                             rhs=names[a],
                             error=err,
                             origin=MINED,
                         )
                     )
                 else:
-                    alive = True
-            if alive:
-                live.append(node)
+                    live.setdefault(node, set()).add(a)
 
         if spec.max_lhs_len is not None and size >= spec.max_lhs_len:
             break
-        # a dead node settles every dependent for all its supersets, so a
-        # node is built only when each of its subsets one smaller is live
-        live_set = set(live)
         # no level splits the nodes at the cap, so their products would be
         # scored once and dropped: keep each as its base and the lacking
         # attribute's ids, and split the base while scoring instead
         at_cap = size + 1 == spec.max_lhs_len
-        next_level: dict[tuple[int, ...], tuple[PLI, list[int] | None]] = {}
+        next_level: dict[tuple[int, ...], tuple[PLI, list[int] | None, set[int]]] = {}
         for base in live:
             for last in lhs_universe:
                 if last <= base[-1]:
                     continue
                 node = base + (last,)
                 subsets = [node[:i] + node[i + 1:] for i in range(size + 1)]
-                if all(subset in live_set for subset in subsets):
+                # a dependent stays open at a node only while it is open and
+                # past the bound at every subset one smaller (TANE's C+ sets):
+                # a determinant emitted at a subset settles it, and a node
+                # with nothing open is not built
+                open_rhs = set.intersection(*(live.get(s, set()) for s in subsets))
+                if open_rhs:
                     # every subset gives the same product, at a cost linear
                     # in the rows it covers: split the smallest (the first
                     # of equals) by the one attribute it lacks
                     _, i = min((level[s][0].covered, i) for i, s in enumerate(subsets))
                     smallest, lacking = level[subsets[i]][0], singles[node[i]]
                     next_level[node] = (
-                        (smallest, lacking.ids)
+                        (smallest, lacking.ids, open_rhs)
                         if at_cap
-                        else (intersect(smallest, lacking), None)
+                        else (intersect(smallest, lacking), None, open_rhs)
                     )
         level = next_level
         size += 1

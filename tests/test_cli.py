@@ -567,6 +567,26 @@ class TestImportExport:
 
     HEADER = '{"fdset":"fs","table":"IOWA","fingerprint":7,"mined_at":""}'
 
+    def test_diff_reports_any_error_change(self, tmp_path):
+        # errors round-trip exactly, so the smallest change is a change
+        for name, error in (("old", "0.1"), ("new", "0.1000000000001")):
+            (tmp_path / f"{name}.fdset").write_text(
+                f'{self.HEADER}\n{{"lhs":["Zip"],"rhs":"Pack","error":{error}}}\n',
+                encoding="utf-8",
+            )
+        outputs = run(
+            fresh_session(tmp_path),
+            "IMPORT 'old.fdset' AS old",
+            "IMPORT 'new.fdset' AS new",
+            "DIFF old new",
+        )
+        assert outputs[2] == (
+            "added (0):\n"
+            "removed (0):\n"
+            "error changed (1):\n"
+            "  Zip -> Pack: 0.1 -> 0.1000000000001"
+        )
+
     @pytest.mark.parametrize(
         "header, entry",
         [

@@ -1,7 +1,7 @@
 """The package's modules form layers: each imports only earlier ones.
 
-`cfd` sits below `miner` and `query`, so the miner reaches conditional
-dependencies without the query layer, and `query` may call the miner.
+`query` sits above `miner`, so it may call the miner, and the miner
+never reaches the query layer.
 """
 
 import ast

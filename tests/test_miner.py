@@ -150,6 +150,28 @@ class TestMineFds:
         assert sum(covered) == split_rows
         assert mined.entries == brute_force_mine(iowa, spec).entries
 
+    def test_no_node_is_built_without_an_open_dependent(self, monkeypatch):
+        # each pair of A, B and C leaves only the third open, as every
+        # single attribute determines the constant D, so the pairs share no
+        # open dependent and (A, B, C) is not built: 9 products, where
+        # building every node whose subsets all keep one open takes 10
+        relation = Relation.build(
+            "t",
+            [(n, "integer") for n in "ABCD"],
+            [(1, 0, 3, 0), (1, 0, 2, 0), (0, 0, 2, 0), (1, 3, 2, 0), (0, 0, 3, 0)],
+        )
+        products = []
+        real = fdq.miner.intersect
+
+        def counting(a, b):
+            products.append(real(a, b))
+            return products[-1]
+
+        monkeypatch.setattr(fdq.miner, "intersect", counting)
+        mined = mine_fds(relation)
+        assert len(products) == 9
+        assert mined.entries == brute_force_mine(relation).entries
+
     @pytest.mark.parametrize(
         "spec, scorings, base_rows",
         [

@@ -13,6 +13,7 @@ from canonical import assert_canonical
 from hypothesis import example, given, settings, strategies as st
 from oracle import brute_force_mine
 
+import fdq.miner
 import fdq.partition
 import fdq.query
 from fdq.cfd import (
@@ -688,6 +689,29 @@ def test_pruned_mining_equals_brute_force_on_wider_relations(
     assert [(e.key, e.error) for e in fast.entries] == [
         (e.key, e.error) for e in slow.entries
     ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(wide_relations(), st.sampled_from((0.0, 0.05, 0.2)))
+def test_every_partition_product_is_scored(relation, threshold):
+    # a node is built only with an open dependent, so no product is built
+    # and then dropped unscored; a fresh snapshot, so no score is kept yet
+    relation = Relation(relation.name, relation.schema, relation.rows)
+    products, scored = [], []
+
+    def building(a, b):
+        products.append(intersect(a, b))
+        return products[-1]
+
+    def scoring(pli, *args):
+        scored.append(pli)
+        return pair_errors(pli, *args)
+
+    with mock.patch.object(fdq.miner, "intersect", building), mock.patch.object(
+        fdq.miner, "pair_errors", scoring
+    ):
+        mine_fds(relation, MiningSpec(error_threshold=threshold))
+    assert all(any(p is q for q in scored) for p in products)
 
 
 @common
