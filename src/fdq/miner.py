@@ -1,4 +1,4 @@
-"""Dependency discovery.
+r"""Dependency discovery.
 
 `mine_fds` is a pruned levelwise walk over the attribute lattice (TANE,
 Huhtala et al. 1999). A candidate X -> A is validated by counting A's
@@ -15,7 +15,12 @@ bound at every subset of X one smaller. A dependent within the bound at
 a node is emitted there and so is settled for all its supersets, which
 keeps every emitted dependency minimal. Level k+1 builds only the nodes
 whose k-subsets share an open dependent, each by one partition product:
-the smallest of those subsets split by the attribute it lacks. No level
+the smallest of those subsets split by the attribute it lacks. It builds
+no node X that holds an attribute A whose X \ {A} -> A scored exactly 0,
+where TANE empties C+(X): X then has the partition of X \ {A}, so every
+candidate of X is settled below it or fails, and as X is not built, none
+of its supersets is. Only error 0 prunes, since an approximate
+X \ {A} -> A leaves the two partitions different. No level
 is built past the size cap, so the level at the cap builds no product:
 each of its nodes keeps that smallest subset and the lacking attribute's
 value ids, and `pair_errors` splits the subset's clusters by those ids
@@ -147,8 +152,10 @@ def mine_fds(
     }
     size = 1
     while level:
-        # each scored node with a dependent past the bound, and those dependents
+        # each scored node with a dependent past the bound, and those
+        # dependents; and each (node, dependent) at error exactly 0
         live: dict[tuple[int, ...], set[int]] = {}
+        exact: set[tuple[tuple[int, ...], int]] = set()
         for node, (pli, split, open_rhs) in level.items():
             todo = sorted(open_rhs)
             # each candidate's kept score, under the bitmask of its columns
@@ -164,6 +171,8 @@ def mine_fds(
             for a in todo:
                 err = kept[keys[a]]
                 if err <= bound:
+                    if err == 0:
+                        exact.add((node, a))
                     entries.append(
                         FDEntry(
                             lhs=tuple(sorted(names[i] for i in node)),
@@ -193,7 +202,12 @@ def mine_fds(
                 # a determinant emitted at a subset settles it, and a node
                 # with nothing open is not built
                 open_rhs = set.intersection(*(live.get(s, set()) for s in subsets))
-                if open_rhs:
+                # nor is a node that holds an attribute its subset determines
+                # at error exactly 0: it has that subset's partition, so its
+                # candidates, and its supersets', are settled or fail
+                if open_rhs and not any(
+                    (s, node[i]) in exact for i, s in enumerate(subsets)
+                ):
                     # every subset gives the same product, at a cost linear
                     # in the rows it covers: split the smallest (the first
                     # of equals) by the one attribute it lacks

@@ -268,8 +268,11 @@ def parse_extended_select(text: str) -> ExtendedSelect:
 def _literal_to_text(value: Value) -> str:
     if isinstance(value, str):
         return f"'{value}'"
-    if isinstance(value, (int, Decimal)):
+    if isinstance(value, int):
         return str(value)
+    if isinstance(value, Decimal):
+        # exponent 0 prints bare digits, which read back as an int
+        return f"{value}." if value.as_tuple().exponent == 0 else str(value)
     raise TypeError(f"cannot print literal {value!r}")
 
 

@@ -2,12 +2,14 @@ import contextlib
 import inspect
 import io
 import pathlib
+import re
 import sys
 import tempfile
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from literals import number_literals
 
 import fdq.partition
 import fdq.relation
@@ -25,6 +27,7 @@ from fdq.errors import KindMismatchError, NameResolutionError, ParseError
 from fdq.fdstore import load_fdset
 from fdq.query import execute, parse_extended_select
 from fdq.result import ResultTable
+from fdq.tokens import tokenize
 
 FIXED_CLOCK = "2026-01-01T00:00:00Z"
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -1092,6 +1095,50 @@ file_bytes = st.binary(max_size=200) | st.text(
 fuzz = settings(derandomize=True, deadline=None, max_examples=300)
 _fuzz_base = []
 
+# valid statements of every kind, run against run_fuzzed's session: the
+# demos' statements with their sets renamed to fs (no LOAD, EXPORT or
+# IMPORT, which name files), and the kinds the demos leave out
+VALID_STATEMENTS = [
+    re.sub(r"\b(before|after|small|restored)\b", "fs", statement)
+    for name in ("explore", "repair")
+    for statement in split_statements(
+        (REPO / "demos" / f"{name}.fdq").read_text(encoding="utf-8")
+    )
+    if statement.split()[0] not in {"LOAD", "EXPORT", "IMPORT"}
+] + [
+    'SELECT * FROM IOWA WHERE ["Zip" = 51333] OR NOT ["BtlVol" < -3.5e2]',
+    'SELECT "Zip" FROM IOWA WHERE HOLDS ("Address" -> "Zip" ON ["Pack" >= 6], '
+    "ERROR = 0.05)",
+    'SELECT * FROM IOWA WHERE "Address" VIOLATES ("Address" -> "Zip", ERROR <= 0.5)',
+    'SELECT DEPENDENT (["Zip"], ERROR = 0.05) FROM IOWA',
+    'SELECTDEP * FROM fs WHERE LHS LENGTH = 2 OR ERROR 0.01',
+    "MINEFD g AS SELECT LHS -> RHS, ERROR WHERE LHS LENGTH <= 2 FROM IOWA ERROR 0.05",
+    'UPDATE IOWA SET "Pack" = 12 WHERE ["Zip" >= 51000] AND NOT ["Pack" = 6]',
+    "DIFF fs fs",
+]
+VALID_TOKENS = [
+    [token.text for token in tokenize(statement)[:-1]] for statement in VALID_STATEMENTS
+]
+
+
+@st.composite
+def mutated_statements(draw):
+    """A valid statement with one token dropped, repeated, swapped with
+    another, or replaced by a number literal."""
+    tokens = list(draw(st.sampled_from(VALID_TOKENS)))
+    i = draw(st.integers(0, len(tokens) - 1))
+    mutation = draw(st.sampled_from(("drop", "repeat", "swap", "literal")))
+    if mutation == "drop":
+        del tokens[i]
+    elif mutation == "repeat":
+        tokens.insert(i, tokens[i])
+    elif mutation == "swap":
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    else:
+        tokens[i] = draw(number_literals)
+    return " ".join(tokens)
+
 
 def run_fuzzed(script: str) -> tuple[int, str]:
     """Run a script in a session holding IOWA and the set fs; (code, stderr)."""
@@ -1118,6 +1165,17 @@ class TestFuzz:
     @given(st.sampled_from(FUZZ_PREFIXES), token_soup)
     def test_token_soup_is_never_an_internal_error(self, prefix, soup):
         code, err = run_fuzzed(prefix + soup)
+        assert code in (0, 1)
+        assert "internal error" not in err
+
+    def test_valid_statements_run(self):
+        for statement in VALID_STATEMENTS:
+            assert run_fuzzed(statement) == (0, "")
+
+    @fuzz
+    @given(mutated_statements())
+    def test_mutated_statements_are_never_an_internal_error(self, statement):
+        code, err = run_fuzzed(statement)
         assert code in (0, 1)
         assert "internal error" not in err
 

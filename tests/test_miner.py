@@ -120,11 +120,14 @@ class TestMineFds:
     @pytest.mark.parametrize(
         "spec, products, split_rows",
         [
-            (MiningSpec(), 98, 345),
+            # no node that holds an attribute its subset determines exactly
+            # is built; building them takes 98 products over 345 rows, and
+            # 25 over 159 at 0.05
+            (MiningSpec(), 38, 178),
             (MiningSpec(max_lhs_len=1), 0, 0),
             # the cap level is scored from its bases, with no products
             (MiningSpec(max_lhs_len=2), 0, 0),
-            (MiningSpec(error_threshold=0.05), 25, 159),
+            (MiningSpec(error_threshold=0.05), 19, 124),
         ],
         ids=["exact", "cap-1", "cap-2", "bound-0.05"],
     )
@@ -133,8 +136,8 @@ class TestMineFds:
     ):
         # deterministic work counters: losing a pruning rule raises the
         # product count, and splitting a larger subset than needed raises
-        # the rows covered by the left inputs (410, 213 and 178 when each
-        # node split its prefix), so either fails here, not on a stopwatch;
+        # the rows covered by the left inputs (195 and 138 when each node
+        # split its prefix), so either fails here, not on a stopwatch;
         # a fresh snapshot, since the shared fixture keeps what others built
         iowa = Relation(iowa.name, iowa.schema, iowa.rows)
         covered = []
@@ -151,10 +154,12 @@ class TestMineFds:
         assert mined.entries == brute_force_mine(iowa, spec).entries
 
     def test_no_node_is_built_without_an_open_dependent(self, monkeypatch):
-        # each pair of A, B and C leaves only the third open, as every
-        # single attribute determines the constant D, so the pairs share no
-        # open dependent and (A, B, C) is not built: 9 products, where
-        # building every node whose subsets all keep one open takes 10
+        # every single attribute determines the constant D at error 0, so no
+        # node that holds D is built, as it has the partition of the rest
+        # (building them takes 9 products); each pair of A, B and C leaves
+        # only the third open, so the pairs share no open dependent and
+        # (A, B, C) is not built either: 3 products, where building every
+        # node whose subsets all keep one open takes 4
         relation = Relation.build(
             "t",
             [(n, "integer") for n in "ABCD"],
@@ -169,16 +174,24 @@ class TestMineFds:
 
         monkeypatch.setattr(fdq.miner, "intersect", counting)
         mined = mine_fds(relation)
-        assert len(products) == 9
+        assert len(products) == 3
         assert mined.entries == brute_force_mine(relation).entries
+        # the nodes scored, read from the kept scores' keys
+        scored = {
+            key[0] & ~(1 << key[1]) for key in relation.derived if len(key) == 3
+        }
+        assert 0b0111 not in scored  # (A, B, C)
+        assert scored == {0b0001, 0b0010, 0b0100, 0b1000, 0b0011, 0b0101, 0b0110}
 
     @pytest.mark.parametrize(
         "spec, scorings, base_rows",
         [
             (MiningSpec(), 0, 0),
             (MiningSpec(max_lhs_len=1), 0, 0),
-            (MiningSpec(max_lhs_len=2), 45, 198),
-            (MiningSpec(max_lhs_len=3), 34, 103),
+            # 45 over 198 rows and 34 over 103 if the nodes that hold an
+            # exactly determined attribute were built
+            (MiningSpec(max_lhs_len=2), 32, 154),
+            (MiningSpec(max_lhs_len=3), 6, 24),
         ],
         ids=["exact", "cap-1", "cap-2", "cap-3"],
     )
@@ -233,7 +246,9 @@ class TestMineFds:
 
     def test_kept_scores_are_reused(self, iowa, monkeypatch):
         # deterministic work counters: (pair_errors calls, dependents scored)
-        # per mine; a fresh snapshot, since the shared fixture keeps scores
+        # per mine, (56, 427) for the first if the nodes that hold an exactly
+        # determined attribute were built; a fresh snapshot, since the
+        # shared fixture keeps scores
         iowa = Relation(iowa.name, iowa.schema, iowa.rows)
         scored = []
         real = fdq.miner.pair_errors
@@ -259,11 +274,11 @@ class TestMineFds:
         monkeypatch.setattr(fdq.miner, "pair_errors", counting)
         capped = MiningSpec(max_lhs_len=2)
         loose = MiningSpec(max_lhs_len=2, error_threshold=0.05)
-        assert mine(iowa, capped) == (56, 427)
+        assert mine(iowa, capped) == (43, 336)
         assert mine(iowa, capped) == (0, 0)
         # another bound decides differently, so nothing is reused
         assert mine(iowa, loose) == mine(Relation("t", iowa.schema, iowa.rows), loose)
-        assert scored[-1] == [32, 233]
+        assert scored[-1] == [28, 209]
 
         # the street's zip typo, repaired: two of the ten rows change Zip
         z, a = iowa.attribute("Zip").index, iowa.attribute("Address").index
@@ -272,11 +287,11 @@ class TestMineFds:
             for row in iowa.rows
         )
         fresh = Relation(edited.name, edited.schema, edited.rows)
-        assert mine(fresh, capped) == (56, 420)
-        assert mine(edited, capped) == (41, 108)
-        # the 108 are the candidates that read Zip; the rest were kept
+        assert mine(fresh, capped) == (42, 328)
+        assert mine(edited, capped) == (34, 84)
+        # the 84 are the candidates that read Zip; the rest were kept
         assert scores(edited, 0.0) == scores(fresh, 0.0)
-        assert sum(bool(mask & 1 << z) for mask, _ in scores(fresh, 0.0)) == 108
+        assert sum(bool(mask & 1 << z) for mask, _ in scores(fresh, 0.0)) == 84
 
     def test_bad_parameters(self, iowa):
         with pytest.raises(ParameterError):

@@ -6,11 +6,13 @@ from collections import Counter
 from decimal import Decimal
 from itertools import chain
 from math import inf
-from operator import add, mul
+from operator import add, eq, ge, gt, le, lt, mul, ne
 from unittest import mock
 
+import pytest
 from canonical import assert_canonical
 from hypothesis import example, given, settings, strategies as st
+from literals import literal_value, number_literals, same_value
 from oracle import brute_force_mine
 
 import fdq.miner
@@ -25,7 +27,7 @@ from fdq.cfd import (
     tableau_match_rows,
 )
 from fdq.cli import Session, run_command
-from fdq.errors import FdqError
+from fdq.errors import FdqError, ParseError
 from fdq.fdstore import (
     ErrorLeq,
     FDEntry,
@@ -714,6 +716,33 @@ def test_every_partition_product_is_scored(relation, threshold):
     assert all(any(p is q for q in scored) for p in products)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(wide_relations(), st.sampled_from((0.0, 0.05, 0.2)))
+def test_no_node_holds_an_exactly_determined_attribute(relation, threshold):
+    # a node X that holds an A with X \ {A} -> A at error 0 has the
+    # partition of X \ {A}, so it is not built, and so not scored. At a
+    # positive bound A can be settled approximately below X \ {A} and never
+    # scored there, so only an exact kept score at X \ {A} rules X out. A
+    # fresh snapshot, so every kept score is this mine's
+    relation = Relation(relation.name, relation.schema, relation.rows)
+    mine_fds(relation, MiningSpec(error_threshold=threshold))
+    kept = relation.derived
+    # X \ {A} -> A is kept under the bitmask of X, and X -> B under X u {B}
+    scored = {key[0] & ~(1 << key[1]) for key in kept if len(key) == 3}
+    for node in scored:
+        held = [a for a in range(len(relation.schema)) if node >> a & 1]
+        if len(held) < 2:
+            continue
+        for a in held:
+            assert kept.get((node, a, threshold)) != 0
+            if threshold == 0:
+                groups = generator_grouped(relation, [b for b in held if b != a])
+                assert any(
+                    len({relation.rows[i][a] for i in group}) > 1
+                    for group in groups.values()
+                )
+
+
 @common
 @given(relations_with_fd())
 def test_wildcard_cfd_confidence_is_one_exactly_when_fd_holds(case):
@@ -794,6 +823,51 @@ def test_select_print_parse_round_trips(ast):
     printed = select_to_text(ast)
     assert parse_extended_select(printed) == ast
     assert select_to_text(parse_extended_select(printed)) == printed
+
+
+@common
+@given(
+    number_literals,
+    st.lists(number_literals, max_size=5),
+    st.sampled_from(("=", "!=", "<>", "<", "<=", ">", ">=")),
+)
+@example(
+    "-1.00000000000000000000000000001", ["-1", "1.00000000000000000000000000001"], "="
+)
+@example("-0.0", ["0", "0.0", "-0"], "<")
+@example("5.", ["5", "5.0"], "=")
+def test_number_literals_keep_their_value(text, others, op):
+    # the value Python gives the literal's text, or a ParseError where it
+    # refuses; printed back and parsed again, the literal keeps its type,
+    # sign, digits and exponent; compared in WHERE, it selects the rows
+    # Python's comparison selects; written by UPDATE, it is that value
+    statement = f'SELECT * FROM T WHERE ["D" {op} {text}] OR ["I" {op} {text}]'
+    expected = literal_value(text)
+    if expected is None:
+        with pytest.raises(ParseError):
+            parse_extended_select(statement)
+        return
+    ast = parse_extended_select(statement)
+    assert all(same_value(c.constant, expected) for c in ast.where.items)
+    again = parse_extended_select(select_to_text(ast))
+    assert all(same_value(c.constant, expected) for c in again.where.items)
+
+    values = [v for v in map(literal_value, [text, *others]) if v is not None]
+    relation = Relation.build(
+        "T",
+        [("I", "integer"), ("D", "decimal")],
+        [(v if type(v) is int else None, Decimal(v)) for v in values],
+    )
+    compare = {"=": eq, "!=": ne, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}[op]
+    assert execute(ast, relation).rows == tuple(
+        row for row in relation.rows
+        if any(v is not None and compare(v, expected) for v in row)
+    )
+    session = Session(relations={"T": relation})
+    session, _ = run_command(session, f'UPDATE T SET "D" = {text}')
+    assert all(
+        same_value(row[1], Decimal(expected)) for row in session.relations["T"].rows
+    )
 
 
 @common
