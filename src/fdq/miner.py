@@ -1,41 +1,56 @@
 r"""Dependency discovery.
 
 `mine_fds` is a pruned levelwise walk over the attribute lattice (TANE,
-Huhtala et al. 1999). A candidate X -> A is validated by counting A's
-value ids inside each cluster of X's partition, so no partition product
-is built just to score it. Scoring is bound-aware: `pair_errors` counts
-cluster by cluster in growing stages and drops a dependent as soon as
-its partial count is past the error threshold, which a partial count can
-decide because violating pairs only accumulate. Most candidates fail,
-most of those within the first stage, and only those that pass are
-counted over every clustered row, so emitted errors stay exact. Each
-node X carries its open dependents, TANE's C+(X): at level 1 every
-dependent but X's attribute, and above it the dependents still past the
-bound at every subset of X one smaller. A dependent within the bound at
-a node is emitted there and so is settled for all its supersets, which
-keeps every emitted dependency minimal. Level k+1 builds only the nodes
-whose k-subsets share an open dependent, each by one partition product:
-the smallest of those subsets split by the attribute it lacks. It builds
-no node X that holds an attribute A whose X \ {A} -> A scored exactly 0,
-where TANE empties C+(X): X then has the partition of X \ {A}, so every
-candidate of X is settled below it or fails, and as X is not built, none
-of its supersets is. Only error 0 prunes, since an approximate
-X \ {A} -> A leaves the two partitions different. No level
-is built past the size cap, so the level at the cap builds no product:
-each of its nodes keeps that smallest subset and the lacking attribute's
-value ids, and `pair_errors` splits the subset's clusters by those ids
-as it scores.
+Huhtala et al. 1999). Each node X carries its open dependents, TANE's
+C+(X): at level 1 every dependent but X's attribute, and above it the
+dependents still past the bound at every subset of X one smaller. A
+dependent within the bound at a node is emitted there and so is settled
+for all its supersets, which keeps every emitted dependency minimal.
+Level k+1 holds only the nodes whose k-subsets share an open dependent,
+each built by one partition product: the smallest of those subsets split
+by the attribute it lacks.
+
+A candidate X -> A is scored from pair counts where the walk has the
+product X u {A}, as TANE validates: pairs(P) is the number of ordered
+pairs of distinct rows in one cluster of P, and X -> A has
+pairs(X) - pairs(X u {A}) violating pairs, the integer `pair_errors`
+counts, so the error is the same float. So before it scores level k, the
+walk builds the products of level k+1 that score a candidate of level k,
+among the nodes whose subsets share an open dependent; a product that the
+scores then leave without a shared open dependent is dropped before the
+next level. Any other candidate goes to `pair_errors`, which counts A's
+value ids inside each cluster of X, in growing stages, and drops a
+dependent as soon as its partial count is past the bound: violating
+pairs only accumulate, so a partial count decides that, and a dependent
+within the bound is counted to the end, so emitted errors stay exact.
+
+A node whose partition equals that of a subset holds an attribute the
+subset determines exactly; every candidate of such a node, and of its
+supersets, is settled below it or fails, as TANE empties its C+. So no
+such node enters a level, and as it is not live none of its supersets is
+built. Such a node is seen before its product is built when its
+subset scored the attribute it lacks at exactly 0, and otherwise, at any
+bound, as a product whose pair count equals a subset's: splitting a
+cluster of a + b rows removes 2ab pairs, so equal counts mean equal
+partitions. At the cap, where no product is built, only the first test
+applies.
+
+No level is built past the size cap, so the level at the cap builds no
+product, and the level below it scores with `pair_errors`: each node at
+the cap keeps that smallest subset and the lacking attribute's value
+ids, and `pair_errors` splits the subset's clusters by those ids as it
+scores.
 
 The snapshot keeps every score, in `Relation.derived` under the bitmask
-of X u {A}, then A and the bound, and a walk sends `pair_errors` only
-the dependents of a node that have no kept score. A kept score decides
-its bound as a new one would: it is exact when within the bound, and
-past it otherwise, whether it was counted from a product or from a base
-and a split. A score at another bound is not used. The error of X -> A
-reads only the X u {A} columns, so `Relation.with_rows` passes a score
-to the child snapshot when its edit left those columns equal, and a
-re-mine after an UPDATE scores only the candidates that touch an updated
-column (Schirmer et al., DynFD, EDBT 2019).
+of X u {A} and A, as (error, exact): a count from pair counts, or one
+within the bound it was taken at, is exact, and any other is a partial
+count past that bound. A kept score decides a bound when it is exact or
+already past it, so a walk at a looser bound reuses it and scores only
+the candidates no kept score decides. The error of X -> A reads only the
+X u {A} columns, so `Relation.with_rows` passes a score to the child
+snapshot when its edit left those columns equal, and a re-mine after an
+UPDATE scores only the candidates that touch an updated column (Schirmer
+et al., DynFD, EDBT 2019).
 
 Validation runs serially and in a fixed order, so the outcome does not
 depend on the requested worker count.
@@ -142,6 +157,8 @@ def mine_fds(
         a: build_pli(relation, a) for a in sorted(set(lhs_universe) | set(rhs_universe))
     }
     ids = {a: singles[a].ids for a in rhs_universe}
+    n = relation.row_count
+    denominator = n * n - n
     entries: list[FDEntry] = []
 
     # nodes are ascending tuples of attribute indexes, each with its
@@ -152,24 +169,60 @@ def mine_fds(
     }
     size = 1
     while level:
+        # each candidate's kept score, under the bitmask of its columns, and
+        # the candidates whose kept score does not decide the bound
+        keys = {
+            node: {a: (sum(1 << i for i in node) | 1 << a, a) for a in open_rhs}
+            for node, (_, _, open_rhs) in level.items()
+        }
+        unsettled = {
+            node: {a for a, key in by_a.items() if not _decides(kept.get(key), bound)}
+            for node, by_a in keys.items()
+        }
+        # no level splits the nodes at the cap, so their products would be
+        # scored once and dropped: keep each as its base and the lacking
+        # attribute's ids, and split the base while scoring instead
+        at_cap = size + 1 == spec.max_lhs_len
+        grows = spec.max_lhs_len is None or size < spec.max_lhs_len
+        # below the cap, build first the products of the next level that
+        # score a candidate of this one, so that X -> A is scored from the
+        # pair counts of X and X u {A}, keyed by the bitmask of X u {A}
+        products: dict[int, PLI] = {}
+        if grows and not at_cap:
+            for node, subsets in _next_nodes(level, lhs_universe):
+                if set.intersection(*(level[s][2] for s in subsets)) and any(
+                    node[i] in unsettled[s] for i, s in enumerate(subsets)
+                ):
+                    products[sum(1 << i for i in node)] = intersect(
+                        *_smallest(node, subsets, level, singles)
+                    )
+
         # each scored node with a dependent past the bound, and those
         # dependents; and each (node, dependent) at error exactly 0
         live: dict[tuple[int, ...], set[int]] = {}
         exact: set[tuple[tuple[int, ...], int]] = set()
         for node, (pli, split, open_rhs) in level.items():
             todo = sorted(open_rhs)
-            # each candidate's kept score, under the bitmask of its columns
-            mask = sum(1 << i for i in node)
-            keys = {a: (mask | 1 << a, a, bound) for a in todo}
-            unscored = [a for a in todo if keys[a] not in kept]
+            node_keys = keys[node]
+            unscored = []
+            for a in sorted(unsettled[node]):
+                key = node_keys[a]
+                product = products.get(key[0])
+                if product is None:
+                    unscored.append(a)
+                else:
+                    # the same integer `pair_errors` counts, so the same float
+                    violating = pli.pairs - product.pairs
+                    err = violating / denominator if denominator else 0.0
+                    kept[key] = (err, True)
             if unscored:
                 errors = pair_errors(
-                    pli, [ids[a] for a in unscored], relation.row_count, bound, split
+                    pli, [ids[a] for a in unscored], n, bound, split
                 )
                 for a, err in zip(unscored, errors):
-                    kept[keys[a]] = err
+                    kept[node_keys[a]] = (err, err <= bound)
             for a in todo:
-                err = kept[keys[a]]
+                err = kept[node_keys[a]][0]
                 if err <= bound:
                     if err == 0:
                         exact.add((node, a))
@@ -184,40 +237,36 @@ def mine_fds(
                 else:
                     live.setdefault(node, set()).add(a)
 
-        if spec.max_lhs_len is not None and size >= spec.max_lhs_len:
+        if not grows:
             break
-        # no level splits the nodes at the cap, so their products would be
-        # scored once and dropped: keep each as its base and the lacking
-        # attribute's ids, and split the base while scoring instead
-        at_cap = size + 1 == spec.max_lhs_len
         next_level: dict[tuple[int, ...], tuple[PLI, list[int] | None, set[int]]] = {}
-        for base in live:
-            for last in lhs_universe:
-                if last <= base[-1]:
-                    continue
-                node = base + (last,)
-                subsets = [node[:i] + node[i + 1:] for i in range(size + 1)]
-                # a dependent stays open at a node only while it is open and
-                # past the bound at every subset one smaller (TANE's C+ sets):
-                # a determinant emitted at a subset settles it, and a node
-                # with nothing open is not built
-                open_rhs = set.intersection(*(live.get(s, set()) for s in subsets))
-                # nor is a node that holds an attribute its subset determines
-                # at error exactly 0: it has that subset's partition, so its
-                # candidates, and its supersets', are settled or fail
-                if open_rhs and not any(
-                    (s, node[i]) in exact for i, s in enumerate(subsets)
-                ):
-                    # every subset gives the same product, at a cost linear
-                    # in the rows it covers: split the smallest (the first
-                    # of equals) by the one attribute it lacks
-                    _, i = min((level[s][0].covered, i) for i, s in enumerate(subsets))
-                    smallest, lacking = level[subsets[i]][0], singles[node[i]]
-                    next_level[node] = (
-                        (smallest, lacking.ids, open_rhs)
-                        if at_cap
-                        else (intersect(smallest, lacking), None, open_rhs)
-                    )
+        for node, subsets in _next_nodes(live, lhs_universe):
+            # a dependent stays open at a node only while it is open and
+            # past the bound at every subset one smaller (TANE's C+ sets):
+            # a determinant emitted at a subset settles it, and a node
+            # with nothing open is not built
+            open_rhs = set.intersection(*(live[s] for s in subsets))
+            # nor is a node that holds an attribute its subset determines
+            # at error exactly 0: it has that subset's partition, so its
+            # candidates, and its supersets', are settled or fail
+            if not open_rhs or any(
+                (s, node[i]) in exact for i, s in enumerate(subsets)
+            ):
+                continue
+            if at_cap:
+                smallest, lacking = _smallest(node, subsets, level, singles)
+                next_level[node] = (smallest, lacking.ids, open_rhs)
+                continue
+            product = products.get(sum(1 << i for i in node))
+            if product is None:
+                product = intersect(*_smallest(node, subsets, level, singles))
+            # the same holds wherever a subset has the node's pair count,
+            # whatever scored it: splitting a cluster of a + b rows removes
+            # 2ab of its pairs, so equal counts mean equal partitions
+            if all(product.pairs != level[s][0].pairs for s in subsets):
+                next_level[node] = (product, None, open_rhs)
+        # drop the products that became no node before the next level
+        products.clear()
         level = next_level
         size += 1
 
@@ -229,6 +278,34 @@ def mine_fds(
         entries=tuple(entries),
         mined_at=mined_at,
     )
+
+
+def _decides(score: tuple[float, bool] | None, bound: float) -> bool:
+    """Whether a kept (error, exact) score decides `bound`: an exact error
+    decides every bound, and a lower bound one it is already past."""
+    return score is not None and (score[1] or score[0] > bound)
+
+
+def _next_nodes(nodes, lhs_universe: Sequence[int]):
+    """Each node one larger whose subsets one smaller are all among
+    `nodes`, with those subsets, in serial order: by the subset that lacks
+    the node's largest attribute, then by that attribute."""
+    for base in nodes:
+        for last in lhs_universe:
+            if last <= base[-1]:
+                continue
+            node = base + (last,)
+            subsets = [node[:i] + node[i + 1:] for i in range(len(node))]
+            if all(s in nodes for s in subsets):
+                yield node, subsets
+
+
+def _smallest(node, subsets, level, singles) -> tuple[PLI, PLI]:
+    """The partition of the subset that covers the fewest rows (the first
+    of equals), and that of the attribute of `node` it lacks: every subset
+    gives the same product, at a cost linear in the rows it covers."""
+    _, i = min((level[s][0].covered, i) for i, s in enumerate(subsets))
+    return level[subsets[i]][0], singles[node[i]]
 
 
 # --- the MINEFD statement --------------------------------------------------------

@@ -10,15 +10,18 @@ itself does not re-check it, since the miner builds one per product.
 The error of a candidate X -> A is the fraction of ordered row pairs that
 agree on X but disagree on A, out of all n*(n-1) ordered pairs. It is 0
 exactly when the dependency holds. For n <= 1 the denominator degenerates
-and the error is defined as 0. Every score comes from `pair_errors`, which
-never builds the X u {A} partition. Queries reach it through one scorer,
-`error_measure`, which scores any number of dependents of one determinant
-over its `partition_of`: approximate HOLDS asks for one, DEPENDENT for
-all it tries. The miner calls `pair_errors` itself, since it keeps scores
-and, given the value ids of one more attribute y as `split`, scores X u {y}
-from X's partition, keying each row by its (cluster, y value), so the
-X u {y} partition is not built either; it does so at the level of its
-size cap, which no later level splits.
+and the error is defined as 0. The violating pairs are `PLI.pairs` of X
+minus that of X u {A}, so where the miner has built the X u {A}
+partition anyway it scores from those two counts. Every other score
+comes from `pair_errors`, which never builds the X u {A} partition.
+Queries reach it through one scorer, `error_measure`, which scores any
+number of dependents of one determinant over its `partition_of`:
+approximate HOLDS asks for one, DEPENDENT for all it tries. The miner
+calls `pair_errors` itself, since it keeps scores and, given the value
+ids of one more attribute y as `split`, scores X u {y} from X's
+partition, keying each row by its (cluster, y value), so the X u {y}
+partition is not built either; it does so at the level of its size cap,
+which no later level splits.
 
 Each snapshot keeps the whole-table partition of every single attribute
 once it is built (`build_pli`), and the partition of an attribute set,
@@ -69,6 +72,13 @@ class PLI:
     @cached_property
     def covered(self) -> int:
         return sum(map(len, self.clusters))
+
+    @cached_property
+    def pairs(self) -> int:
+        """Ordered pairs of distinct rows in one cluster: c*c - c summed
+        over clusters of c rows. X -> A has pairs(X) - pairs(X u {A})
+        violating pairs, the count `pair_errors` takes."""
+        return sum(len(c) * len(c) for c in self.clusters) - self.covered
 
     @cached_property
     def ids(self) -> list[int]:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import operator
 import os
 import re
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from functools import cached_property
 from itertools import compress, count, filterfalse
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 from .errors import (
     IngestError,
@@ -288,6 +287,37 @@ def _out_of_range(
     raise AssertionError("no cell of the column fails to convert")
 
 
+# records held at once before they are moved into the column lists
+CHUNK_RECORDS = 1024
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of `text`, each with its "\n", split at "\n" only, as a
+    text stream of newline "\n" splits them: a lone "\r" stays inside its
+    line, where the csv reader refuses it."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _transpose(
+    chunk: list[list[str]], columns: list[list[str]], lines: list[int]
+) -> str:
+    """Append each record of the chunk to the column lists, field by field,
+    or return the error for the chunk's first record of another arity, in
+    which case nothing is appended. `lines` ends with the chunk's lines."""
+    arity = len(columns)
+    if not set(map(len, chunk)) <= {arity}:
+        for record, line in zip(chunk, lines[len(lines) - len(chunk):]):
+            if len(record) != arity:
+                return f"line {line}: expected {arity} fields, got {len(record)}"
+    for column, cells in zip(columns, zip(*chunk)):
+        column.extend(cells)
+    return ""
+
+
 def load_csv(
     source: str | os.PathLike | bytes | IO,
     *,
@@ -320,45 +350,46 @@ def load_csv(
     else:
         raise TypeError(f"cannot ingest from {type(source).__name__}")
 
-    records: list[list[str]] = []
-    line_nums: list[int] = []
     try:
-        reader = csv.reader(io.StringIO(raw.decode("utf-8-sig")))
+        # the lines hold the only reference to the text, so it goes once
+        # they are read
+        reader = csv.reader(_lines(raw.decode("utf-8-sig")))
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"cannot parse {where}: {exc}") from exc
+    del raw
+    # every record is read before any other error is raised, so a csv
+    # error anywhere wins over the header and the records' arity
+    header: list[str] | None = None
+    columns: list[list[str]] = []
+    data_lines: list[int] = []
+    chunk: list[list[str]] = []
+    ragged = ""  # the error for the first record of another arity
+    try:
         for record in reader:
             if not record:
                 continue  # tolerate blank lines
-            records.append(record)
-            line_nums.append(reader.line_num)
-    except (UnicodeDecodeError, csv.Error) as exc:
+            if header is None:
+                columns = [[] for _ in record]
+                if has_header:
+                    header = record
+                    continue
+                header = [f"col{i}" for i in range(len(record))]
+            chunk.append(record)
+            data_lines.append(reader.line_num)
+            if len(chunk) == CHUNK_RECORDS:
+                ragged = ragged or _transpose(chunk, columns, data_lines)
+                chunk.clear()
+        ragged = ragged or _transpose(chunk, columns, data_lines)
+    except csv.Error as exc:
         raise IngestError(f"cannot parse {where}: {exc}") from exc
 
-    if not records:
+    if header is None:
         raise SchemaError("empty source: no records to ingest")
+    if has_header and len(set(header)) != len(header):
+        raise SchemaError(f"duplicate attribute name in header: {header}")
+    if ragged:
+        raise IngestError(ragged)
 
-    if has_header:
-        header = records[0]
-        data = records[1:]
-        data_lines = line_nums[1:]
-        if len(set(header)) != len(header):
-            raise SchemaError(f"duplicate attribute name in header: {header}")
-    else:
-        header = [f"col{i}" for i in range(len(records[0]))]
-        data = records
-        data_lines = line_nums
-
-    arity = len(header)
-    if not set(map(len, data)) <= {arity}:
-        for record, line in zip(data, data_lines):
-            if len(record) != arity:
-                raise IngestError(
-                    f"line {line}: expected {arity} fields, got {len(record)}"
-                )
-
-    # The records stay alive until the return. Freeing them before the
-    # conversion, measured on the benchmark's repair_loop (5 000 rows),
-    # raised the peak RSS of its later re-mine from 29.2 to 30.0 MiB, likely
-    # because the converted cells then sit in fragmented allocator arenas.
-    columns: list = list(zip(*data)) if data else [() for _ in header]
     kinds = []
     for j, column in enumerate(columns):
         has_null = null_token in column

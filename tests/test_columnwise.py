@@ -292,6 +292,13 @@ TEXT_CELLS = [
 NULLS = ["", "NA", "-"]
 
 
+# "\n" most often, so that most sources parse; a lone "\r" inside a line
+# is a csv error
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r"]
+# after a ragged record: a csv error, or quotes left open to the end
+MALFORMED_TAILS = ["x\ry\n", '"x', '"x\n1,2\n']
+
+
 @st.composite
 def csv_sources(draw):
     width = draw(st.integers(1, 4))
@@ -309,7 +316,8 @@ def csv_sources(draw):
     rows = draw(st.lists(
         st.tuples(*[st.sampled_from(pool) for pool in pools]), max_size=8
     ))
-    if rows and draw(st.booleans()):  # one ragged record, so both must refuse
+    ragged = rows and draw(st.booleans())
+    if ragged:  # one ragged record, so both must refuse
         rows[-1] = rows[-1][:-1] if width > 1 else rows[-1] + ("z",)
     has_header = draw(st.booleans())
     header = draw(st.lists(
@@ -317,14 +325,27 @@ def csv_sources(draw):
         min_size=width, max_size=width, unique=draw(st.booleans()),
     ))
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+
+    def write(record):
+        end = draw(st.sampled_from(LINE_ENDS))
+        csv.writer(buffer, lineterminator=end).writerow(record)
+
     if has_header:
-        writer.writerow(header)
+        write(header)
     for row in rows:
-        writer.writerow(row)
+        write(row)
         if draw(st.integers(0, 5)) == 0:
-            buffer.write("\n")  # a blank line, which ingest skips
-    return buffer.getvalue().encode(), has_header, null_token
+            buffer.write(draw(st.sampled_from(LINE_ENDS)))  # a blank line
+    if ragged and draw(st.booleans()):
+        buffer.write(draw(st.sampled_from(MALFORMED_TAILS)))
+    text = buffer.getvalue()
+    if draw(st.booleans()):
+        text = "\ufeff" + text  # a byte order mark, which ingest skips
+    source = text.encode()
+    if draw(st.integers(0, 5)) == 0:  # a byte that is no UTF-8
+        at = draw(st.integers(0, len(source)))
+        source = source[:at] + b"\xff" + source[at:]
+    return source, has_header, null_token
 
 
 def _outcome(load, source, has_header, null_token):
@@ -341,6 +362,11 @@ def _outcome(load, source, has_header, null_token):
 @example((b"A,B\n", True, ""))
 @example((b"1,2.5\n,x\n", False, ""))
 @example((b"A\nNA\n7\n", True, "NA"))
+# past the first chunk of records and the first 8 KiB of bytes
+@example((b"A\n" + b"1\n" * 5000 + b"\xff\n", True, ""))
+@example((b"A,B\n" + b"1,2\n" * 1500 + b"3\n" + b"4,5\n" * 10, True, ""))
+@example((b"A,B\n3\n" + b"1,2\n" * 1500 + b"x\ry\n", True, ""))
+@example((b"1,2\n" * 2048 + b"x\n", False, ""))
 def test_load_csv_equals_the_rowwise_reference(case):
     source, has_header, null_token = case
     assert _outcome(load_csv, source, has_header, null_token) == _outcome(

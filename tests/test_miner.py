@@ -1,8 +1,10 @@
 import logging
+import random
 from functools import cached_property
 
 import pytest
 from oracle import brute_force_mine
+from work import MiningWork
 
 import fdq.miner
 from fdq.cfd import CFD, PatternTableau, cfd_confidence, cfd_support
@@ -16,6 +18,15 @@ from fdq.setexpr import GlobList
 
 def keys(fdset):
     return {(e.lhs, e.rhs) for e in fdset.entries}
+
+
+def scores(relation):
+    """The kept (error, exact) of each X -> A on the snapshot, under
+    (bitmask of X u {A}, A); kept partitions sit under (bit, PLI)."""
+    return {
+        key: score for key, score in relation.derived.items()
+        if isinstance(key[1], int)
+    }
 
 
 class TestMineFds:
@@ -118,68 +129,74 @@ class TestMineFds:
         assert one.entries == two.entries == eight.entries
 
     @pytest.mark.parametrize(
-        "spec, products, split_rows",
+        "spec, products, split_rows, rows",
         [
-            # no node that holds an attribute its subset determines exactly
-            # is built; building them takes 98 products over 345 rows, and
-            # 25 over 159 at 0.05
-            (MiningSpec(), 38, 178),
-            (MiningSpec(max_lhs_len=1), 0, 0),
+            # the walk builds the next level's products that score a
+            # candidate before it scores the level, and scores those
+            # candidates from pair counts: scoring every candidate with
+            # pair_errors builds 38 products over 178 rows and reads 1 432
+            # rows in all, and 19 over 124 and 1 223 at 0.05
+            (MiningSpec(), 100, 230, 598),
+            (MiningSpec(max_lhs_len=1), 0, 0, 600),
             # the cap level is scored from its bases, with no products
-            (MiningSpec(max_lhs_len=2), 0, 0),
-            (MiningSpec(error_threshold=0.05), 19, 124),
+            (MiningSpec(max_lhs_len=2), 0, 0, 1788),
+            (MiningSpec(error_threshold=0.05), 74, 228, 581),
         ],
         ids=["exact", "cap-1", "cap-2", "bound-0.05"],
     )
     def test_partition_products_are_pinned(
-        self, iowa, monkeypatch, spec, products, split_rows
+        self, iowa, monkeypatch, spec, products, split_rows, rows
     ):
         # deterministic work counters: losing a pruning rule raises the
-        # product count, and splitting a larger subset than needed raises
-        # the rows covered by the left inputs (195 and 138 when each node
-        # split its prefix), so either fails here, not on a stopwatch;
+        # product count, splitting a larger subset than needed raises the
+        # rows covered by the left inputs (357 and 351 when each node
+        # split its prefix), and scoring from pair counts less often raises
+        # the rows read in all, so each fails here, not on a stopwatch;
         # a fresh snapshot, since the shared fixture keeps what others built
         iowa = Relation(iowa.name, iowa.schema, iowa.rows)
-        covered = []
-        real = fdq.miner.intersect
-
-        def counting(a, b):
-            covered.append(a.covered)
-            return real(a, b)
-
-        monkeypatch.setattr(fdq.miner, "intersect", counting)
+        work = MiningWork(monkeypatch)
         mined = mine_fds(iowa, spec)
-        assert len(covered) == products
-        assert sum(covered) == split_rows
+        assert work.products == products
+        assert work.product_rows == split_rows
+        assert work.rows == rows
         assert mined.entries == brute_force_mine(iowa, spec).entries
 
+    def test_wide_random_columns_read_fewer_rows(self, monkeypatch):
+        # ten random columns of four values: few dependencies hold, so
+        # pruning barely acts and nearly every node of the lower levels is
+        # built. Scoring every candidate with pair_errors takes 959
+        # products over 175 868 rows and scores 5 013 dependents, reading
+        # 446 584 rows in all; building the products that score a candidate
+        # first costs 43 more products and leaves 3 dependents to pair_errors
+        rng = random.Random(0)
+        rows = [tuple(rng.randrange(4) for _ in range(10)) for _ in range(300)]
+        relation = Relation.build("w", [(f"c{i}", "integer") for i in range(10)], rows)
+        work = MiningWork(monkeypatch)
+        mined = mine_fds(relation)
+        assert len(mined.entries) == 67
+        assert (work.products, work.product_rows) == (1002, 175_938)
+        assert (work.scored, work.rows) == (3, 175_946)
+
     def test_no_node_is_built_without_an_open_dependent(self, monkeypatch):
-        # every single attribute determines the constant D at error 0, so no
-        # node that holds D is built, as it has the partition of the rest
-        # (building them takes 9 products); each pair of A, B and C leaves
-        # only the third open, so the pairs share no open dependent and
-        # (A, B, C) is not built either: 3 products, where building every
-        # node whose subsets all keep one open takes 4
+        # every single attribute determines the constant D at error 0, which
+        # the products (A, D), (B, D) and (C, D) score from their pair
+        # counts; none becomes a node, as each has the partition of its
+        # other attribute. Each pair of A, B and C leaves only the third
+        # open, so the pairs share no open dependent and (A, B, C) is neither
+        # built nor scored, and the pairs are scored by pair_errors: 6
+        # products, where building every node whose subsets are all nodes
+        # takes 7 (and 3 when every candidate was scored by pair_errors)
         relation = Relation.build(
             "t",
             [(n, "integer") for n in "ABCD"],
             [(1, 0, 3, 0), (1, 0, 2, 0), (0, 0, 2, 0), (1, 3, 2, 0), (0, 0, 3, 0)],
         )
-        products = []
-        real = fdq.miner.intersect
-
-        def counting(a, b):
-            products.append(real(a, b))
-            return products[-1]
-
-        monkeypatch.setattr(fdq.miner, "intersect", counting)
+        work = MiningWork(monkeypatch)
         mined = mine_fds(relation)
-        assert len(products) == 3
+        assert (work.products, work.scored) == (6, 3)
         assert mined.entries == brute_force_mine(relation).entries
         # the nodes scored, read from the kept scores' keys
-        scored = {
-            key[0] & ~(1 << key[1]) for key in relation.derived if len(key) == 3
-        }
+        scored = {mask & ~(1 << a) for mask, a in scores(relation)}
         assert 0b0111 not in scored  # (A, B, C)
         assert scored == {0b0001, 0b0010, 0b0100, 0b1000, 0b0011, 0b0101, 0b0110}
 
@@ -264,21 +281,22 @@ class TestMineFds:
             assert mined.entries == brute_force_mine(relation, spec).entries
             return tuple(scored[-1])
 
-        def scores(relation, bound):
-            # (bitmask of X u {A}, A) -> kept error, at one bound
-            return {
-                key[:2]: error for key, error in relation.derived.items()
-                if len(key) == 3 and key[2] == bound
-            }
+        def errors(relation):
+            # (bitmask of X u {A}, A) -> kept error
+            return {key: error for key, (error, _) in scores(relation).items()}
 
         monkeypatch.setattr(fdq.miner, "pair_errors", counting)
         capped = MiningSpec(max_lhs_len=2)
         loose = MiningSpec(max_lhs_len=2, error_threshold=0.05)
         assert mine(iowa, capped) == (43, 336)
         assert mine(iowa, capped) == (0, 0)
-        # another bound decides differently, so nothing is reused
-        assert mine(iowa, loose) == mine(Relation("t", iowa.schema, iowa.rows), loose)
-        assert scored[-1] == [28, 209]
+        # an exact score decides every bound, and a partial count one it is
+        # past, so a looser mine scores only the candidates with no kept
+        # score or a partial count it admits: 72 dependents, of the 209 it
+        # scores on a fresh snapshot (all of them when kept scores were
+        # keyed by their bound)
+        assert mine(iowa, loose) == (17, 72)
+        assert mine(Relation("t", iowa.schema, iowa.rows), loose) == (28, 209)
 
         # the street's zip typo, repaired: two of the ten rows change Zip
         z, a = iowa.attribute("Zip").index, iowa.attribute("Address").index
@@ -290,8 +308,8 @@ class TestMineFds:
         assert mine(fresh, capped) == (42, 328)
         assert mine(edited, capped) == (34, 84)
         # the 84 are the candidates that read Zip; the rest were kept
-        assert scores(edited, 0.0) == scores(fresh, 0.0)
-        assert sum(bool(mask & 1 << z) for mask, _ in scores(fresh, 0.0)) == 84
+        assert errors(edited) == errors(fresh)
+        assert sum(bool(mask & 1 << z) for mask, _ in errors(fresh)) == 84
 
     def test_bad_parameters(self, iowa):
         with pytest.raises(ParameterError):

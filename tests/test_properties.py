@@ -46,6 +46,7 @@ from fdq.fdstore import (
 )
 from fdq.miner import MiningSpec, mine_fds, parse_minefd
 from fdq.partition import (
+    build_pli,
     error_measure,
     grouped,
     intersect,
@@ -693,54 +694,78 @@ def test_pruned_mining_equals_brute_force_on_wider_relations(
     ]
 
 
+def kept_scores(relation):
+    """The (bitmask of X u {A}, A) key of each score kept on the snapshot;
+    kept partitions sit under (bit, PLI)."""
+    return [key for key in relation.derived if isinstance(key[1], int)]
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(wide_relations(), st.sampled_from((0.0, 0.05, 0.2)))
 def test_every_partition_product_is_scored(relation, threshold):
-    # a node is built only with an open dependent, so no product is built
-    # and then dropped unscored; a fresh snapshot, so no score is kept yet
+    # each product the walk builds either scores a candidate X -> A by its
+    # pair count, as the partition of X u {A}, or becomes a node and has its
+    # own candidates scored, or is dropped as it has the partition of one
+    # of its subsets, which only building it shows; a fresh snapshot, so
+    # every kept score is this mine's. The attribute set of each partition
+    # is read off its inputs
     relation = Relation(relation.name, relation.schema, relation.rows)
-    products, scored = [], []
+    attrs = {}  # id of a partition -> bitmask of its attributes
+    products, counted = [], set()
+
+    def single(relation, a):
+        pli = build_pli(relation, a)
+        attrs[id(pli)] = attrs[id(pli.ids)] = 1 << a
+        return pli
 
     def building(a, b):
         products.append(intersect(a, b))
+        attrs[id(products[-1])] = attrs[id(a)] | attrs[id(b)]
         return products[-1]
 
-    def scoring(pli, *args):
-        scored.append(pli)
-        return pair_errors(pli, *args)
+    def scoring(pli, id_columns, scope_size, bound, split=None):
+        # X u {A} of each candidate that pair_errors scores
+        x = attrs[id(pli)] | (0 if split is None else attrs[id(split)])
+        counted.update(x | attrs[id(ids)] for ids in id_columns)
+        return pair_errors(pli, id_columns, scope_size, bound, split)
 
-    with mock.patch.object(fdq.miner, "intersect", building), mock.patch.object(
-        fdq.miner, "pair_errors", scoring
-    ):
+    with mock.patch.object(fdq.miner, "build_pli", single), mock.patch.object(
+        fdq.miner, "intersect", building
+    ), mock.patch.object(fdq.miner, "pair_errors", scoring):
         mine_fds(relation, MiningSpec(error_threshold=threshold))
-    assert all(any(p is q for q in scored) for p in products)
+    keys = kept_scores(relation)
+    candidates = {mask for mask, _ in keys} - counted
+    nodes = {mask & ~(1 << a) for mask, a in keys}
+    for product in products:
+        mask = attrs[id(product)]
+        held = [a for a in range(len(relation.schema)) if mask >> a & 1]
+        assert mask in candidates | nodes or any(
+            pli_of(relation, [b for b in held if b != a]) == product for a in held
+        )
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(wide_relations(), st.sampled_from((0.0, 0.05, 0.2)))
 def test_no_node_holds_an_exactly_determined_attribute(relation, threshold):
     # a node X that holds an A with X \ {A} -> A at error 0 has the
-    # partition of X \ {A}, so it is not built, and so not scored. At a
-    # positive bound A can be settled approximately below X \ {A} and never
-    # scored there, so only an exact kept score at X \ {A} rules X out. A
-    # fresh snapshot, so every kept score is this mine's
+    # partition of X \ {A}, so it is not built, and so not scored, at any
+    # bound: a product with the pair count of a subset is dropped, even
+    # where A was settled approximately below X \ {A} and never scored
+    # there. A fresh snapshot, so every kept score is this mine's
     relation = Relation(relation.name, relation.schema, relation.rows)
     mine_fds(relation, MiningSpec(error_threshold=threshold))
-    kept = relation.derived
     # X \ {A} -> A is kept under the bitmask of X, and X -> B under X u {B}
-    scored = {key[0] & ~(1 << key[1]) for key in kept if len(key) == 3}
+    scored = {mask & ~(1 << a) for mask, a in kept_scores(relation)}
     for node in scored:
         held = [a for a in range(len(relation.schema)) if node >> a & 1]
         if len(held) < 2:
             continue
         for a in held:
-            assert kept.get((node, a, threshold)) != 0
-            if threshold == 0:
-                groups = generator_grouped(relation, [b for b in held if b != a])
-                assert any(
-                    len({relation.rows[i][a] for i in group}) > 1
-                    for group in groups.values()
-                )
+            groups = generator_grouped(relation, [b for b in held if b != a])
+            assert any(
+                len({relation.rows[i][a] for i in group}) > 1
+                for group in groups.values()
+            )
 
 
 @common
