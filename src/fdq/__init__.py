@@ -22,7 +22,7 @@ from .relation import (
     eval_row_predicate,
     load_csv,
 )
-from .partition import PLI, build_pli, error_measure, intersect, pli_of
+from .partition import PLI, build_pli, error_measure, intersect, pli_of, value_ids
 from .result import ResultTable
 from .fdstore import (
     FDEntry,

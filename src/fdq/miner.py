@@ -43,10 +43,10 @@ scores.
 
 The snapshot keeps every score, in `Relation.derived` under the bitmask
 of X u {A} and A, as (error, exact): a count from pair counts, or one
-within the bound it was taken at, is exact, and any other is a partial
-count past that bound. A kept score decides a bound when it is exact or
-already past it, so a walk at a looser bound reuses it and scores only
-the candidates no kept score decides. The error of X -> A reads only the
+that `pair_errors` counted to the end, is exact, and any other is a
+partial count past the bound it was taken at. A kept score decides a
+bound when it is exact or already past it, so a walk at a looser bound
+reuses it and scores only the candidates no kept score decides. The error of X -> A reads only the
 X u {A} columns, so `Relation.with_rows` passes a score to the child
 snapshot when its edit left those columns equal, and a re-mine after an
 UPDATE scores only the candidates that touch an updated column (Schirmer
@@ -77,7 +77,7 @@ from .fdstore import (
     canonical_key,
     parse_fdml_condition,
 )
-from .partition import PLI, build_pli, intersect, pair_errors
+from .partition import PLI, build_pli, intersect, pair_errors, value_ids
 from .relation import Or, Relation, walk
 from .setexpr import SetExpr, eval_subset_expr, literal_patterns
 from .tokens import TokenStream, statement_parser
@@ -153,10 +153,9 @@ def mine_fds(
     lhs_universe = _filter_universe(spec.lhs_filter, relation, "determinant")
     rhs_universe = _filter_universe(spec.rhs_filter, relation, "dependent")
 
-    singles = {
-        a: build_pli(relation, a) for a in sorted(set(lhs_universe) | set(rhs_universe))
-    }
-    ids = {a: singles[a].ids for a in rhs_universe}
+    # a partition for each determinant attribute, value ids for each dependent
+    singles = {a: build_pli(relation, a) for a in lhs_universe}
+    ids = {a: value_ids(relation, a) for a in rhs_universe}
     n = relation.row_count
     denominator = n * n - n
     entries: list[FDEntry] = []
@@ -216,11 +215,9 @@ def mine_fds(
                     err = violating / denominator if denominator else 0.0
                     kept[key] = (err, True)
             if unscored:
-                errors = pair_errors(
-                    pli, [ids[a] for a in unscored], n, bound, split
-                )
-                for a, err in zip(unscored, errors):
-                    kept[node_keys[a]] = (err, err <= bound)
+                scores = pair_errors(pli, [ids[a] for a in unscored], n, bound, split)
+                for a, score in zip(unscored, scores):
+                    kept[node_keys[a]] = score
             for a in todo:
                 err = kept[node_keys[a]][0]
                 if err <= bound:

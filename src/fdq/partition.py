@@ -23,12 +23,18 @@ partition, keying each row by its (cluster, y value), so the X u {y}
 partition is not built either; it does so at the level of its size cap,
 which no later level splits.
 
-Each snapshot keeps the whole-table partition of every single attribute
-once it is built (`build_pli`), and the partition of an attribute set,
-over all rows or an ON scope, is built from those (`partition_of`): the
-single covering the fewest rows, cut to the scope, split by the others'
-value ids. Only singles are kept, never products or scoped partitions,
-so a snapshot holds at most one partition per attribute.
+Each snapshot keeps, per attribute, its value ids once they are built
+(`value_ids`): for each row the smallest row holding the same value, the
+attribute's dictionary code. Ids are what every grouping reads: the
+whole-table partition of one attribute is built from them and shares
+them as its `ids` (`build_pli`, also kept), a witness cluster is one
+whose rows hold more than one id of the dependent, and a dependent is
+scored by counting its ids, so no partition of a dependent is built. The
+partition of an attribute set, over all rows or an ON scope, is built
+from the kept singles (`partition_of`): the single covering the fewest
+rows, cut to the scope, split by the others' value ids. Only singles are
+kept, never products or scoped partitions, so a snapshot holds at most
+one partition and one id list per attribute.
 
 Every caller asks whether the error is within a bound, so `pair_errors`
 counts violating pairs in stages of whole clusters, the first of at
@@ -38,13 +44,15 @@ A cluster's violating pairs never go negative, nor do those of a
 (cluster, y value) key under a split, so a partial count is a lower
 bound: once `partial / denominator > bound`, the full error is past it
 too (float division is monotone). A dependent within the bound
-is counted to the end, and its stage sums add up to the exact count.
+is counted to the end, and its stage sums add up to the exact count; so
+is one that goes past it only at the last stage, and `pair_errors` says
+with each error whether it was counted to the end.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from math import inf
@@ -65,9 +73,6 @@ class PLI:
 
     clusters: tuple[tuple[int, ...], ...]
     relation_size: int
-    # the snapshot's row numbers, which `ids` shares for unclustered rows;
-    # empty means make new ones
-    row_numbers: Sequence[int] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def covered(self) -> int:
@@ -85,9 +90,9 @@ class PLI:
         """Per-row value id in [0, n): the smallest row of the row's
         cluster, or the row itself outside every cluster. Built on first
         read and kept, so each partition builds it at most once; callers
-        share the list, so they only read it. Seeded from `row_numbers`,
-        so a row outside every cluster costs a pointer, not a new int."""
-        ids = list(self.row_numbers or range(self.relation_size))
+        share the list, so they only read it. `pli_of` gives the
+        whole-table partition of one attribute its `value_ids` instead."""
+        ids = list(range(self.relation_size))
         for cluster in self.clusters:
             first = cluster[0]
             for row in cluster:
@@ -120,30 +125,67 @@ def grouped(
     return groups
 
 
+def _bit(relation: Relation, attribute: int) -> int:
+    """The attribute's bit, which starts its keys in `Relation.derived`."""
+    if not 0 <= attribute < len(relation.schema):
+        raise ContractError(f"attribute index {attribute} out of range")
+    return 1 << attribute
+
+
+def value_ids(relation: Relation, attribute: int) -> list[int]:
+    """Per row, the smallest row holding the same value of `attribute`:
+    equal to the `ids` of the attribute's whole-table partition.
+
+    Kept on the snapshot, in `Relation.derived` under the attribute's bit
+    and "value_ids", and passed on by `Relation.with_rows` as `build_pli`'s
+    partitions are; callers share the list, so they only read it. The ids
+    are the snapshot's row numbers, so a row costs a pointer, not an int.
+    """
+    key = (_bit(relation, attribute), "value_ids")
+    kept = relation.derived
+    ids = kept.get(key)
+    if ids is None:
+        # one C-level pass: setdefault gives the row that first held the value
+        first: dict = {}
+        column = map(itemgetter(attribute), relation.rows)
+        ids = kept[key] = list(map(first.setdefault, column, relation.row_numbers))
+    return ids
+
+
 def pli_of(
     relation: Relation, attrs: Sequence[int], scope: Iterable[int] | None = None
 ) -> PLI:
     """Stripped partition of `attrs` over the scope (default: all rows).
 
     Ascending row iteration makes each cluster ascending and puts clusters
-    in order of their smallest member without an extra sort.
+    in order of their smallest member without an extra sort. One attribute
+    over all rows is grouped by its value ids, which the partition shares.
     """
-    groups = grouped(relation, attrs, scope)
+    if scope is None and len(attrs) == 1:
+        ids = value_ids(relation, attrs[0])
+        groups: dict = {}
+        for row, first in zip(relation.row_numbers, ids):
+            groups.setdefault(first, []).append(row)
+    else:
+        ids = None
+        groups = grouped(relation, attrs, scope)
     clusters = tuple(tuple(g) for g in groups.values() if len(g) >= 2)
-    return PLI(clusters, relation.row_count, relation.row_numbers)
+    pli = PLI(clusters, relation.row_count)
+    if ids is not None:
+        pli.__dict__["ids"] = ids  # where cached_property keeps what was read
+    return pli
 
 
 def build_pli(relation: Relation, attribute: int) -> PLI:
     """Stripped partition of one attribute over the whole relation.
 
     Kept on the snapshot, in `Relation.derived` under the attribute's bit
-    and `PLI`: the first request builds it with `pli_of`, later ones read
-    it, and `Relation.with_rows` passes it on to a child whose edit left
-    the attribute equal on every changed row.
+    and `PLI`: the first request builds it with `pli_of`, from the
+    attribute's value ids, later ones read it, and `Relation.with_rows`
+    passes it on to a child whose edit left the attribute equal on every
+    changed row.
     """
-    if not 0 <= attribute < len(relation.schema):
-        raise ContractError(f"attribute index {attribute} out of range")
-    key = (1 << attribute, PLI)
+    key = (_bit(relation, attribute), PLI)
     kept = relation.derived
     pli = kept.get(key)
     if pli is None:
@@ -237,25 +279,29 @@ def pair_errors(
     scope_size: int,
     bound: float = inf,
     split: Sequence[int] | None = None,
-) -> list[float]:
-    """Error of X -> A for each dependent A given by its value ids, X being
-    the partition's attribute set over a scope of `scope_size` rows.
+) -> list[tuple[float, bool]]:
+    """(error, exact) of X -> A for each dependent A given by its value ids,
+    X being the partition's attribute set over a scope of `scope_size` rows.
 
     With `split`, the per-row value ids of one more attribute y, X is the
     partition's set plus y: each cluster is split by y's ids while it is
     scored, so the product partition is never built.
 
     An error within `bound` is exact. Past it, scoring may stop early and
-    return some value still past the bound; the default never stops.
+    return some value still past the bound, with `exact` false; a dependent
+    counted to the end is exact either way. The default never stops.
     """
     columns = list(id_columns)
     denominator = scope_size * scope_size - scope_size
     if not denominator:
-        return [0.0] * len(columns)
+        return [(0.0, True)] * len(columns)
     violating = [0] * len(columns)
+    exact = [True] * len(columns)
     open_columns = list(enumerate(columns))
     n = pli.relation_size
+    unread = pli.covered
     for rows, tags, square_sum in _stages(pli.clusters, n):
+        unread -= len(rows)
         if split is not None:
             # a (cluster, y value) key per row: the rows of one key agree on
             # X and y, and the dependents' tags become key * n
@@ -271,10 +317,12 @@ def pair_errors(
             violating[j] += square_sum - sum(map(mul, counts, counts))
             if violating[j] / denominator <= bound:
                 still_open.append((j, ids))
+            elif unread:
+                exact[j] = False  # dropped with rows left to count
         open_columns = still_open
         if not open_columns:
             break
-    return [v / denominator for v in violating]
+    return [(v / denominator, e) for v, e in zip(violating, exact)]
 
 
 def violating_rows(
@@ -284,13 +332,12 @@ def violating_rows(
     scope: Iterable[int] | None = None,
 ) -> set[int]:
     """Rows inside lhs-clusters that disagree on rhs (the witnesses): the
-    clusters whose rows hold more than one rhs value, read from the rows,
-    so no partition of rhs is built."""
-    rows = relation.rows
-    value = itemgetter(rhs)
+    clusters whose rows hold more than one of rhs's value ids, so no
+    partition of rhs is built."""
+    rhs_ids = value_ids(relation, rhs)
     bad: set[int] = set()
     for cluster in partition_of(relation, lhs, scope).clusters:
-        if len(set(map(value, map(rows.__getitem__, cluster)))) > 1:
+        if len(set(map(rhs_ids.__getitem__, cluster))) > 1:
             bad.update(cluster)
     return bad
 
@@ -304,8 +351,9 @@ def error_measure(
 ) -> list[float]:
     """Error of lhs -> A for each dependent A, as violating ordered pairs /
     all ordered pairs within the scope: one partition of lhs, one
-    `pair_errors` call. Exact when within `bound`, otherwise some value past
-    it; a dependent inside lhs agrees on every cluster and scores 0.0."""
+    `pair_errors` call over the dependents' value ids. Exact when within
+    `bound`, otherwise some value past it; a dependent inside lhs agrees on
+    every cluster and scores 0.0."""
     if scope is not None:
         scope = set(scope)
         if not scope:
@@ -313,5 +361,5 @@ def error_measure(
     size = relation.row_count if scope is None else len(scope)
     pli = partition_of(relation, lhs, scope)
     # value ids over the whole table tell the scope's values apart as well
-    ids = [build_pli(relation, a).ids for a in dependents]
-    return pair_errors(pli, ids, size, bound)
+    ids = [value_ids(relation, a) for a in dependents]
+    return [error for error, _ in pair_errors(pli, ids, size, bound)]

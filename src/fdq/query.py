@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
 from decimal import Decimal
 from operator import itemgetter
 from typing import Sequence, Union
 
 from .errors import ContractError, ParameterError, ParseError
-from .partition import error_measure, partition_of, violating_rows
+from .partition import error_measure, partition_of, value_ids, violating_rows
 from .relation import (
     COMPARISON_OPS,
     And,
@@ -472,31 +473,32 @@ def eval_violates(
     group_attrs = [
         relation.attribute(a).index for a in lhs if a != suspect
     ] + [relation.attribute(rhs).index]
+    column = suspect_meta.index
+    ids = value_ids(relation, column)
     rows = relation.rows
     result: set[int] = set()
     # a group of one row has one value, so the stripped partition has them all
     for group in partition_of(relation, group_attrs).clusters:
-        # distinct values in row order, so the distances computed do not
-        # depend on string hashing
+        # distinct values by value id, in row order, so the distances
+        # computed do not depend on string hashing
         values = [
-            v
-            for v in dict.fromkeys(rows[i][suspect_meta.index] for i in group)
-            if v is not None
+            (first, rows[first][column])
+            for first in dict.fromkeys(map(ids.__getitem__, group))
+            if rows[first][column] is not None
         ]
         if len(values) < 2:
             continue
         # the distance is symmetric, so each unordered pair is scored once,
         # and only while one of its two values is not yet known to be close
-        close: set = set()
-        for j, v in enumerate(values):
-            for o in values[j + 1:]:
-                if (v not in close or o not in close) and value_distance(
+        close: set[int] = set()
+        for j, (v_id, v) in enumerate(values):
+            for o_id, o in values[j + 1:]:
+                if (v_id not in close or o_id not in close) and value_distance(
                     v, o, kind, threshold
                 ) <= threshold:
-                    close.update((v, o))
-        result.update(
-            i for i in group if rows[i][suspect_meta.index] in close
-        )
+                    close.update((v_id, o_id))
+        in_close = map(close.__contains__, map(ids.__getitem__, group))
+        result.update(compress(group, in_close))
     return result
 
 

@@ -3,7 +3,8 @@
 A relation is an immutable snapshot: attribute metadata plus a tuple of
 rows. Cell values are int, Decimal, str, or None. Decimal keeps CSV
 decimals exact, and equal values hash equally across int/Decimal, which
-the partition layer relies on.
+the partition layer relies on. CSV ingestion converts each distinct cell
+text of a column once, so equal cells share one value object.
 
 Every relation has a 64-bit content fingerprint, so downstream artifacts
 can detect that their source table changed. It is row-additive: a digest
@@ -19,7 +20,8 @@ changed. A decimal cell is digested by its exact normalized value, so
 do not.
 
 A snapshot also keeps what later layers derived from its columns, in
-`derived`: the partition layer's partition of one attribute, and the
+`derived`: the partition layer's value ids of one attribute (per row,
+the smallest row holding the same value) and its partition, and the
 miner's score of each dependency candidate X -> A. Each key starts with
 the bitmask of the attributes its value was computed from (bit i for
 attribute i), X u {A} for a score. This module treats the rest of the
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from functools import cached_property
 from itertools import compress, count, filterfalse
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Collection, Iterable, Iterator, Sequence, Union
 
 from .errors import (
     IngestError,
@@ -246,7 +248,7 @@ def _row_digest(index: int, row) -> int:
     return _digest([b"%d" % index, *map(_canonical_cell, row)])
 
 
-def _infer_kind(cells: Sequence[str]) -> str:
+def _infer_kind(cells: Collection[str]) -> str:
     """Kind of a column from its non-null cells: integer if every one is an
     integer literal, else decimal if every one parses as a decimal, else
     text (also for a column with no value). An integer literal always
@@ -330,8 +332,9 @@ def load_csv(
     `source` is a file path, raw bytes, or an open text/binary stream.
     Cells equal to `null_token` become None before kind inference. Column
     kinds: integer if every non-null cell is an integer literal, else
-    decimal if every non-null cell parses as a decimal, else text.
-    Without a header, attributes are named col0..colN-1.
+    decimal if every non-null cell parses as a decimal, else text. Equal
+    cells of a column share one value object. Without a header,
+    attributes are named col0..colN-1.
     """
     where = "CSV source"
     if isinstance(source, (str, os.PathLike)):
@@ -392,21 +395,19 @@ def load_csv(
 
     kinds = []
     for j, column in enumerate(columns):
-        has_null = null_token in column
-        kind = _infer_kind(
-            list(filter(null_token.__ne__, column)) if has_null else column
-        )
+        # the kind depends only on the set of cells, so each distinct cell is
+        # inferred from and converted once, and equal cells share one value
+        distinct = dict.fromkeys(column)
+        distinct.pop(null_token, None)
+        kind = _infer_kind(distinct)
         convert = _CONVERTERS.get(kind, str)  # str() of a str is that str
         try:
-            if has_null:
-                columns[j] = [
-                    None if cell == null_token else convert(cell) for cell in column
-                ]
-            elif kind != TEXT:
-                columns[j] = list(map(convert, column))
+            values = dict(zip(distinct, map(convert, distinct)))
         except (ValueError, InvalidOperation):
             error = _out_of_range(column, header[j], kind, data_lines, null_token)
             raise error from None
+        values[null_token] = None
+        columns[j] = list(map(values.__getitem__, column))
         kinds.append(kind)
     metas = tuple(
         AttributeMeta(n, i, k) for i, (n, k) in enumerate(zip(header, kinds))

@@ -374,6 +374,62 @@ def test_load_csv_equals_the_rowwise_reference(case):
     )
 
 
+# --- each distinct cell is converted once -----------------------------------------
+
+# repeated texts, and distinct texts of equal value: 0 and -0, 1.0 and 1.00
+INTERNED_POOLS = [
+    ["0", "-0", "+0", "7", "007", "-3"],
+    ["1.0", "1.00", "1", "-0", "0.0", "-0.0", "1E+1", "10"],
+    ["a", "A", "1.0", "x y"],
+]
+
+
+@common
+@given(st.data())
+def test_interned_cells_equal_a_cell_by_cell_conversion(data):
+    width = data.draw(st.integers(1, 3))
+    null_token = data.draw(st.sampled_from(NULLS))
+    pools = [
+        data.draw(st.sampled_from(INTERNED_POOLS)) + [null_token] * data.draw(st.booleans())
+        for _ in range(width)
+    ]
+    rows = data.draw(st.lists(
+        st.tuples(*[st.sampled_from(pool) for pool in pools]), min_size=1, max_size=30
+    ))
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([["A", "B", "C"][:width], *rows])
+    source = buffer.getvalue().encode()
+    got = load_csv(source, null_token=null_token)
+    expected = rowwise_load_csv(source, null_token=null_token)
+    assert got.schema == expected.schema
+    for got_row, expected_row in zip(got.rows, expected.rows, strict=True):
+        for value, reference in zip(got_row, expected_row, strict=True):
+            assert type(value) is type(reference)
+            assert value == reference and str(value) == str(reference)
+    # equal cell texts of a column share one value
+    for j in range(width):
+        first = {}
+        for text, row in zip((record[j] for record in rows), got.rows):
+            assert first.setdefault(text, row[j]) is row[j]
+
+
+@common
+@given(
+    st.integers(0, 40),
+    st.sampled_from([("7", "9" * 5000, "integer"), ("1.5", "1E+9999999999999999999", "decimal")]),
+    st.sampled_from(["", "NA"]),
+)
+def test_out_of_range_after_repeated_cells_names_its_line(repeats, cells, null_token):
+    # the same line whichever distinct cell fails first when converted
+    cell, huge, kind = cells
+    lines = ["A", *[cell, null_token] * repeats, huge, cell, huge]
+    source = "\n".join(lines).encode()
+    with pytest.raises(IngestError) as caught:
+        load_csv(source, null_token=null_token)
+    # an empty null token makes a blank line, which still counts as a line
+    assert str(caught.value) == f"line {2 * repeats + 2}: {kind} in 'A' is out of range"
+
+
 # --- row filters scan a column ----------------------------------------------------
 
 NUMBERS = st.one_of(st.none(), st.integers(-3, 3), st.sampled_from(

@@ -1,17 +1,16 @@
 import logging
 import random
-from functools import cached_property
 
 import pytest
 from oracle import brute_force_mine
-from work import MiningWork
+from work import MiningWork, value_id_builds
 
 import fdq.miner
 from fdq.cfd import CFD, PatternTableau, cfd_confidence, cfd_support
 from fdq.errors import ContractError, NameResolutionError, ParameterError, ParseError
 from fdq.fdstore import FDEntry
 from fdq.miner import MiningSpec, execute_minefd, mine_fds, parse_minefd
-from fdq.partition import PLI
+from fdq.partition import build_pli, value_ids
 from fdq.relation import Relation, load_csv
 from fdq.setexpr import GlobList
 
@@ -22,7 +21,8 @@ def keys(fdset):
 
 def scores(relation):
     """The kept (error, exact) of each X -> A on the snapshot, under
-    (bitmask of X u {A}, A); kept partitions sit under (bit, PLI)."""
+    (bitmask of X u {A}, A); kept partitions sit under (bit, PLI), value
+    ids under (bit, "value_ids")."""
     return {
         key: score for key, score in relation.derived.items()
         if isinstance(key[1], int)
@@ -234,29 +234,17 @@ class TestMineFds:
         assert mined.entries == brute_force_mine(iowa, spec).entries
 
     def test_single_partition_ids_are_built_once(self, iowa, monkeypatch):
-        # intersect splits by the ids of its single-attribute input, so
-        # each attribute's ids are built once per snapshot, not per product;
-        # a fresh snapshot, since the shared fixture keeps what others built
+        # intersect splits by the ids of its single-attribute input and
+        # pair_errors counts each dependent's ids, so each attribute's value
+        # ids are built once per snapshot, not per product or score, and a
+        # single's partition shares them; a fresh snapshot, since the shared
+        # fixture keeps what others built
         iowa = Relation(iowa.name, iowa.schema, iowa.rows)
-        singles, built = [], []
-        real_build, real_ids = fdq.miner.build_pli, PLI.ids.func
-
-        def building(relation, attribute):
-            singles.append(real_build(relation, attribute))
-            return singles[-1]
-
-        def ids(pli):
-            built.append(pli)
-            return real_ids(pli)
-
-        counting = cached_property(ids)
-        counting.__set_name__(PLI, "ids")
-        monkeypatch.setattr(fdq.miner, "build_pli", building)
-        monkeypatch.setattr(PLI, "ids", counting)
+        built = value_id_builds(monkeypatch)
         mine_fds(iowa)
-        assert len(singles) == len(iowa.schema)
-        assert built and {id(p) for p in built} <= {id(p) for p in singles}
-        assert len({id(p) for p in built}) == len(built)
+        assert sorted(built) == sorted((id(iowa), n) for n in iowa.attribute_names)
+        for a in range(len(iowa.schema)):
+            assert build_pli(iowa, a).ids is value_ids(iowa, a)
         built.clear()
         mine_fds(iowa)
         assert built == []
@@ -292,10 +280,12 @@ class TestMineFds:
         assert mine(iowa, capped) == (0, 0)
         # an exact score decides every bound, and a partial count one it is
         # past, so a looser mine scores only the candidates with no kept
-        # score or a partial count it admits: 72 dependents, of the 209 it
-        # scores on a fresh snapshot (all of them when kept scores were
-        # keyed by their bound)
-        assert mine(iowa, loose) == (17, 72)
+        # score or a partial count it admits. Ten rows fit in one stage, so
+        # every score is counted to the end and none is left to rescore, of
+        # the 209 dependents it scores on a fresh snapshot (72 when a score
+        # past the bound was kept as a partial count, all 209 when kept
+        # scores were keyed by their bound)
+        assert mine(iowa, loose) == (0, 0)
         assert mine(Relation("t", iowa.schema, iowa.rows), loose) == (28, 209)
 
         # the street's zip typo, repaired: two of the ten rows change Zip

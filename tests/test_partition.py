@@ -206,36 +206,48 @@ class CountingIds(list):
 
 class TestPairErrors:
     # X = row // 4 makes 100 clusters of 4 rows: stages of 64, 128 and 208;
-    # X -> A holds, B breaks in rows 0, 100, 200 and 300, C only in row 100
+    # X -> A holds, B breaks in rows 0, 100, 200 and 300, C only in row 100,
+    # D only in row 300
     ROWS = [
-        [i // 4, i // 4, i // 4 if i % 100 else -1, -1 if i == 100 else i // 4]
+        [
+            i // 4,
+            i // 4,
+            i // 4 if i % 100 else -1,
+            -1 if i == 100 else i // 4,
+            -1 if i == 300 else i // 4,
+        ]
         for i in range(400)
     ]
 
     def scored(self, column, bound):
-        rel = Relation.build("t", [(n, "integer") for n in "XABC"], self.ROWS)
+        rel = Relation.build("t", [(n, "integer") for n in "XABCD"], self.ROWS)
         pli = build_pli(rel, 0)
         ids = CountingIds(build_pli(rel, column).ids)
-        (error,) = pair_errors(pli, [ids], 400, bound)
-        return pli, error, ids.reads
+        ((error, exact),) = pair_errors(pli, [ids], 400, bound)
+        return pli, error, exact, ids.reads
 
     def test_broken_dependent_reads_only_the_first_stage(self):
-        pli, error, reads = self.scored(2, 0.0)
-        assert error > 0.0
+        pli, error, exact, reads = self.scored(2, 0.0)
+        assert error > 0.0 and not exact
         assert reads == STAGE_ROWS == 64
 
     def test_stages_double(self):
-        pli, error, reads = self.scored(3, 0.0)
-        assert error > 0.0
+        pli, error, exact, reads = self.scored(3, 0.0)
+        assert error > 0.0 and not exact
         assert reads == 64 + 128
 
+    def test_dependent_broken_in_the_last_stage_is_counted_exactly(self):
+        pli, error, exact, reads = self.scored(4, 0.0)
+        assert error == 6 / (400 * 399) and exact
+        assert reads == pli.covered
+
     def test_holding_dependent_reads_every_clustered_row(self):
-        pli, error, reads = self.scored(1, 0.0)
-        assert error == 0.0
+        pli, error, exact, reads = self.scored(1, 0.0)
+        assert error == 0.0 and exact
         assert reads == pli.covered == 400
 
     def test_default_bound_counts_every_row_exactly(self):
         # rows 0, 100, 200 and 300 each split a cluster of 4: 3 * 2 pairs
-        pli, error, reads = self.scored(2, float("inf"))
-        assert error == 4 * 6 / (400 * 399)
+        pli, error, exact, reads = self.scored(2, float("inf"))
+        assert error == 4 * 6 / (400 * 399) and exact
         assert reads == pli.covered

@@ -46,6 +46,7 @@ from fdq.fdstore import (
 )
 from fdq.miner import MiningSpec, mine_fds, parse_minefd
 from fdq.partition import (
+    PLI,
     build_pli,
     error_measure,
     grouped,
@@ -53,6 +54,7 @@ from fdq.partition import (
     pair_errors,
     partition_of,
     pli_of,
+    value_ids,
     violating_rows,
 )
 from fdq.query import (
@@ -574,8 +576,11 @@ def test_staged_pair_errors_decide_like_the_full_count(case, data):
     bound = data.draw(st.sampled_from([0.0, 0.05, *exact]))
     with mock.patch.object(fdq.partition, "STAGE_ROWS", stage_rows):
         staged = pair_errors(pli, ids, len(scope), bound)
-    for full, err in zip(exact, staged):
+    # a score within the bound is counted to the end; one marked so is exact
+    for full, (err, counted) in zip(exact, staged):
         if full <= bound:
+            assert counted
+        if counted:
             assert err == full
         else:
             assert err > bound
@@ -597,10 +602,13 @@ def test_split_scoring_decides_like_the_product(case, data):
         split = pair_errors(base, ids, len(scope), bound, split=single.ids)
         built = pair_errors(product, ids, len(scope), bound)
     for full, from_base, from_product in zip(exact, split, built):
-        if full <= bound:
-            assert from_base == from_product == full
-        else:
-            assert from_base > bound and from_product > bound
+        for err, counted in (from_base, from_product):
+            if full <= bound:
+                assert counted
+            if counted:
+                assert err == full
+            else:
+                assert err > bound
 
 
 def generator_grouped(relation, attrs, scope=None):
@@ -635,6 +643,50 @@ def test_partition_from_kept_singles_equals_a_fresh_grouping(case, scoped):
     assert assert_canonical(partition_of(relation, lhs, scope)) == expected
     # once more from the singles the first call kept
     assert partition_of(relation, lhs, scope) == expected
+
+
+# equal values of one kind that differ in form: 0 and -0, 1.0 and 1.00
+CODED_CELLS = {
+    "integer": (None, 0, -0, 1, 2),
+    "decimal": (
+        None, Decimal("0"), Decimal("-0"), Decimal("0.00"), Decimal("1.0"),
+        Decimal("1.00"), Decimal(2),
+    ),
+    "text": (None, "", "a", "A", "1.0"),
+}
+
+
+@st.composite
+def coded_relations(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CODED_CELLS)), min_size=1, max_size=3))
+    cells = [st.sampled_from(CODED_CELLS[kind]) for kind in kinds]
+    rows = draw(st.lists(st.tuples(*cells), max_size=30))
+    return Relation.build("t", list(zip(NAMES, kinds)), rows)
+
+
+@common
+@given(coded_relations())
+def test_value_ids_and_single_partitions_equal_the_grouping(relation):
+    n = relation.row_count
+    for a in range(len(relation.schema)):
+        groups = grouped(relation, [a]).values()
+        expected = [None] * n
+        for group in groups:
+            for row in group:
+                expected[row] = group[0]
+        ids = value_ids(relation, a)
+        assert ids == expected
+        # rows share an id exactly when their values are equal
+        column = [row[a] for row in relation.rows]
+        assert all(
+            (ids[i] == ids[j]) == (column[i] == column[j])
+            for i in range(n) for j in range(n)
+        )
+        pli = assert_canonical(build_pli(relation, a))
+        assert pli.clusters == tuple(tuple(g) for g in groups if len(g) >= 2)
+        # the partition shares the ids, equal to those its clusters give
+        assert pli.ids is ids
+        assert PLI(pli.clusters, n).ids == ids
 
 
 # --- mining -------------------------------------------------------------------------
@@ -953,6 +1005,28 @@ def test_updated_fingerprint_equals_a_fresh_hash(case):
             assert now.fingerprint == Relation(now.name, now.schema, now.rows).fingerprint
     now = session.relations["T"]
     assert now.fingerprint == Relation(now.name, now.schema, now.rows).fingerprint
+
+
+@common
+@given(update_runs())
+def test_witnesses_after_an_update_equal_a_fresh_snapshots(case):
+    # the snapshot's value ids and partitions are built before the UPDATEs,
+    # so each child reads those its edit left equal
+    relation, statements = case
+    width = len(relation.schema)
+
+    def witnesses(snapshot):
+        return [
+            violating_rows(snapshot, lhs, rhs)
+            for lhs in ([x] for x in range(width)) for rhs in range(width)
+        ]
+
+    witnesses(relation)
+    session = Session(relations={"T": relation})
+    for statement, _ in statements:
+        run_command(session, statement)
+        now = session.relations["T"]
+        assert witnesses(now) == witnesses(Relation(now.name, now.schema, now.rows))
 
 
 STATEMENT_KINDS = ("update", "equal", "minefd", "holds", "not", "violates", "dependent")

@@ -1,9 +1,11 @@
-"""Deterministic work counters of the lattice walk, read by swapping
-counting wrappers into `fdq.miner`: the partition products it builds and
+"""Deterministic work counters, read by swapping counting wrappers into
+fdq's modules: for the lattice walk, the partition products it builds and
 the rows their left inputs cover, and the dependents `pair_errors`
-scores and the value ids it reads for them."""
+scores and the value ids it reads for them; for any statement, the value
+id lists built."""
 
 import fdq.miner
+import fdq.partition
 
 
 class MiningWork:
@@ -39,3 +41,23 @@ class MiningWork:
     def rows(self) -> int:
         """Rows read in all: the products' left inputs and the scoring."""
         return self.product_rows + self.scoring_rows
+
+
+def value_id_builds(monkeypatch) -> list[tuple[int, str]]:
+    """(id of the snapshot, attribute name) of each value id list built
+    while the wrapper is in place: each `value_ids` call that adds to the
+    snapshot's `derived`. Callers look `value_ids` up as a module global
+    at call time, so the wrapper sees every call."""
+    built = []
+    real = fdq.partition.value_ids
+
+    def value_ids(relation, attribute):
+        before = len(relation.derived)
+        ids = real(relation, attribute)
+        if len(relation.derived) > before:
+            built.append((id(relation), relation.attribute_names[attribute]))
+        return ids
+
+    for module in (fdq.partition, fdq.miner):
+        monkeypatch.setattr(module, "value_ids", value_ids)
+    return built
