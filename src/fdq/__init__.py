@@ -41,7 +41,6 @@ from .cfd import (
     PatternTableau,
     cfd_confidence,
     cfd_support,
-    condition_to_tableau,
     tableau_match_rows,
 )
 from .miner import MiningSpec, execute_minefd, mine_fds, parse_minefd

@@ -5,27 +5,19 @@ TODS 2008) whose cells are wildcards (None) or (op, constant) constraints.
 `_resolve` is the one place a tableau meets a relation: it checks that
 each attribute names a column and turns each pattern row into its cells'
 comparisons, which `eval_row_predicate` checks and evaluates, so
-matching, support and confidence read cells alike. `condition_to_tableau`
-compiles an ON scope of the extended SELECT into a tableau.
+matching, support and confidence read cells alike.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence, Union
 
 from .errors import ContractError
-from .partition import grouped
-from .relation import (
-    And,
-    Comparison,
-    Not,
-    Or,
-    Relation,
-    RowPredicate,
-    eval_row_predicate,
-)
+from .partition import partition_of
+from .relation import And, Comparison, Relation, eval_row_predicate
 
 Cell = Union[None, tuple]  # None is a wildcard; otherwise (op, constant)
 
@@ -139,8 +131,12 @@ def cfd_confidence(relation: Relation, cfd: CFD) -> float:
     if n == 0:
         return 1.0
     rows = relation.rows
+    # the determinant's clusters, and each row outside them alone
+    clusters = partition_of(relation, lhs_idx).clusters
+    clustered = set(chain.from_iterable(clusters))
+    alone = ((i,) for i in relation.row_numbers if i not in clustered)
     kept = 0
-    for group in grouped(relation, lhs_idx).values():
+    for group in chain(clusters, alone):
         applying = [admit for pick, admit in zip(picks, admits) if group[0] in pick]
         if not applying:
             kept += len(group)
@@ -152,66 +148,3 @@ def cfd_confidence(relation: Relation, cfd: CFD) -> float:
         if counts:
             kept += max(counts.values())
     return kept / n
-
-
-# --- compiling scope conditions -------------------------------------------------
-
-_FLIP = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
-
-
-def _dnf(node, negate: bool = False) -> list[list[Comparison]]:
-    """Disjunctive normal form of the condition, or of its negation when
-    `negate` is set: negations move down to the comparisons, flipping their
-    operators, and De Morgan turns a negated AND into an OR and back."""
-    if isinstance(node, Comparison):
-        # an unknown operator is kept as it is, for `eval_row_predicate`
-        # to reject
-        op = _FLIP.get(node.op, node.op) if negate else node.op
-        return [[Comparison(node.attribute, op, node.constant)]]
-    if isinstance(node, Not):
-        return _dnf(node.item, not negate)
-    if isinstance(node, (And, Or)):
-        parts = [_dnf(item, negate) for item in node.items]
-        if isinstance(node, Or) != negate:
-            return [branch for part in parts for branch in part]
-        branches: list[list[Comparison]] = [[]]
-        for part in parts:
-            branches = [b + extra for b in branches for extra in part]
-        return branches
-    raise ContractError("tableau conversion accepts row conditions only")
-
-
-def condition_to_tableau(
-    condition: RowPredicate,
-    lhs: Sequence[str],
-    rhs: str,
-    relation: Relation,
-) -> PatternTableau:
-    """Compile a scope condition into pattern rows over lhs plus rhs.
-
-    Each disjunct of the condition's disjunctive normal form becomes one
-    row. Negations flip comparison operators, which treats missing values
-    as unmatched on both sides. Atoms must stay within lhs and rhs, and a
-    disjunct may constrain an attribute only once; either violation is an
-    error because the cell shape cannot express it. The tableau is
-    matched against the relation once before it is returned, which checks
-    its cells.
-    """
-    attributes = tuple(dict.fromkeys(list(lhs) + [rhs]))
-    rows = []
-    for branch in _dnf(condition):
-        cells: dict[str, tuple] = {}
-        for atom in branch:
-            if atom.attribute not in attributes:
-                raise ContractError(
-                    f"condition touches {atom.attribute!r}, outside the dependency"
-                )
-            cell = (atom.op, atom.constant)
-            if cells.setdefault(atom.attribute, cell) != cell:
-                raise ContractError(
-                    f"two constraints on {atom.attribute!r} in one branch"
-                )
-        rows.append(tuple(cells.get(a) for a in attributes))
-    tableau = PatternTableau(attributes, tuple(dict.fromkeys(rows)))
-    tableau_match_rows(relation, tableau)
-    return tableau

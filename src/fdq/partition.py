@@ -4,8 +4,12 @@ A PLI (position list index) keeps, for an attribute set, only the value
 clusters with two or more rows; singleton clusters carry no violation
 evidence and are dropped. Clusters and the rows inside them stay sorted,
 so every partition has one canonical form and downstream results are
-reproducible run to run. The constructors below keep that form; `PLI`
-itself does not re-check it, since the miner builds one per product.
+reproducible run to run. One function groups rows: `pli_of` builds the
+whole-table partition of one attribute. Every other partition is derived
+from those: `intersect` splits a partition by one attribute's value ids,
+and `partition_of` gives any attribute set over all rows or a scope.
+They keep the canonical form; `PLI` itself does not re-check it, since
+the miner builds one per product.
 
 The error of a candidate X -> A is the fraction of ordered row pairs that
 agree on X but disagree on A, out of all n*(n-1) ordered pairs. It is 0
@@ -25,16 +29,16 @@ which no later level splits.
 
 Each snapshot keeps, per attribute, its value ids once they are built
 (`value_ids`): for each row the smallest row holding the same value, the
-attribute's dictionary code. Ids are what every grouping reads: the
-whole-table partition of one attribute is built from them and shares
-them as its `ids` (`build_pli`, also kept), a witness cluster is one
-whose rows hold more than one id of the dependent, and a dependent is
-scored by counting its ids, so no partition of a dependent is built. The
-partition of an attribute set, over all rows or an ON scope, is built
-from the kept singles (`partition_of`): the single covering the fewest
-rows, cut to the scope, split by the others' value ids. Only singles are
-kept, never products or scoped partitions, so a snapshot holds at most
-one partition and one id list per attribute.
+attribute's dictionary code. Ids are what every grouping reads: `pli_of`
+groups the rows by them into the attribute's whole-table partition,
+which carries them as its `ids` (`build_pli` keeps it), a witness
+cluster is one whose rows hold more than one id of the dependent, and a
+dependent is scored by counting its ids, so no partition of a dependent
+is built. The partition of an attribute set, over all rows or an ON
+scope, is derived from the kept singles (`partition_of`): the single
+covering the fewest rows, cut to the scope, split by the others' value
+ids. Only singles are kept, never products or scoped partitions, so a
+snapshot holds at most one partition and one id list per attribute.
 
 Every caller asks whether the error is within a bound, so `pair_errors`
 counts violating pairs in stages of whole clusters, the first of at
@@ -52,7 +56,7 @@ with each error whether it was counted to the end.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from math import inf
@@ -69,10 +73,14 @@ class PLI:
 
     Canonical form: each cluster ascending, clusters ordered by their
     smallest row, no row in two clusters, rows below `relation_size`.
+    A single attribute's whole-table partition (`pli_of`) carries as `ids`
+    the value ids it was built from, which `intersect` splits by; any
+    other partition carries none. Equality and hashing ignore `ids`.
     """
 
     clusters: tuple[tuple[int, ...], ...]
     relation_size: int
+    ids: list[int] | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def covered(self) -> int:
@@ -84,45 +92,6 @@ class PLI:
         over clusters of c rows. X -> A has pairs(X) - pairs(X u {A})
         violating pairs, the count `pair_errors` takes."""
         return sum(len(c) * len(c) for c in self.clusters) - self.covered
-
-    @cached_property
-    def ids(self) -> list[int]:
-        """Per-row value id in [0, n): the smallest row of the row's
-        cluster, or the row itself outside every cluster. Built on first
-        read and kept, so each partition builds it at most once; callers
-        share the list, so they only read it. `pli_of` gives the
-        whole-table partition of one attribute its `value_ids` instead."""
-        ids = list(range(self.relation_size))
-        for cluster in self.clusters:
-            first = cluster[0]
-            for row in cluster:
-                ids[row] = first
-        return ids
-
-
-def grouped(
-    relation: Relation, attrs: Sequence[int], scope: Iterable[int] | None = None
-) -> dict[tuple, list[int]]:
-    """Scope rows (default: all) by their value tuple on `attrs`, ascending
-    within each group, groups in order of their smallest row."""
-    rows = relation.rows
-    if scope is None:
-        indices: Sequence[int] = relation.row_numbers
-        picked = rows
-    else:
-        indices = sorted(scope)
-        picked = map(rows.__getitem__, indices)
-    if len(attrs) == 1:
-        # itemgetter of one index returns the bare value; keys stay 1-tuples
-        keys = zip(map(itemgetter(attrs[0]), picked))
-    elif attrs:
-        keys = map(itemgetter(*attrs), picked)
-    else:
-        keys = repeat((), len(indices))
-    groups: dict[tuple, list[int]] = {}
-    for key, i in zip(keys, indices):
-        groups.setdefault(key, []).append(i)
-    return groups
 
 
 def _bit(relation: Relation, attribute: int) -> int:
@@ -152,28 +121,20 @@ def value_ids(relation: Relation, attribute: int) -> list[int]:
     return ids
 
 
-def pli_of(
-    relation: Relation, attrs: Sequence[int], scope: Iterable[int] | None = None
-) -> PLI:
-    """Stripped partition of `attrs` over the scope (default: all rows).
+def pli_of(relation: Relation, attribute: int) -> PLI:
+    """Stripped partition of one attribute over all rows, grouped by its
+    value ids, which the partition carries as `ids`.
 
-    Ascending row iteration makes each cluster ascending and puts clusters
-    in order of their smallest member without an extra sort. One attribute
-    over all rows is grouped by its value ids, which the partition shares.
+    The one function that groups rows: every other partition is derived
+    from these. Ascending row iteration makes each cluster ascending and
+    puts clusters in order of their smallest member without an extra sort.
     """
-    if scope is None and len(attrs) == 1:
-        ids = value_ids(relation, attrs[0])
-        groups: dict = {}
-        for row, first in zip(relation.row_numbers, ids):
-            groups.setdefault(first, []).append(row)
-    else:
-        ids = None
-        groups = grouped(relation, attrs, scope)
+    ids = value_ids(relation, attribute)
+    groups: dict[int, list[int]] = {}
+    for row, first in zip(relation.row_numbers, ids):
+        groups.setdefault(first, []).append(row)
     clusters = tuple(tuple(g) for g in groups.values() if len(g) >= 2)
-    pli = PLI(clusters, relation.row_count)
-    if ids is not None:
-        pli.__dict__["ids"] = ids  # where cached_property keeps what was read
-    return pli
+    return PLI(clusters, relation.row_count, ids)
 
 
 def build_pli(relation: Relation, attribute: int) -> PLI:
@@ -189,7 +150,7 @@ def build_pli(relation: Relation, attribute: int) -> PLI:
     kept = relation.derived
     pli = kept.get(key)
     if pli is None:
-        pli = kept[key] = pli_of(relation, [attribute])
+        pli = kept[key] = pli_of(relation, attribute)
     return pli
 
 
@@ -197,11 +158,13 @@ def partition_of(
     relation: Relation, attrs: Sequence[int], scope: Iterable[int] | None = None
 ) -> PLI:
     """Stripped partition of `attrs` over the scope (default: all rows),
-    equal to `pli_of`'s, from the snapshot's kept single-attribute
-    partitions: the one covering the fewest rows, cut to the scope, then
-    split by each other one in turn. The result itself is not kept."""
+    from the snapshot's kept single-attribute partitions: the one covering
+    the fewest rows, cut to the scope, then split by each other one in
+    turn. With no attributes, every scope row agrees: one cluster of them
+    all, or none below 2 rows. The result itself is not kept."""
     if not attrs:
-        return pli_of(relation, attrs, scope)
+        rows = relation.row_numbers if scope is None else tuple(sorted(scope))
+        return PLI((rows,) if len(rows) >= 2 else (), relation.row_count)
     singles = sorted(
         {a: build_pli(relation, a) for a in attrs}.values(), key=attrgetter("covered")
     )
@@ -221,16 +184,18 @@ def _restrict(pli: PLI, scope: Iterable[int]) -> PLI:
 
 
 def intersect(a: PLI, b: PLI) -> PLI:
-    """Partition product: each cluster of `a` split by `b`'s value ids.
+    """Partition product: each cluster of `a` split by the value ids of
+    `b`, a single attribute's partition from `pli_of`.
 
-    Runs in time linear in the covered rows of `a`, once `b`'s ids exist;
-    callers pass a single-attribute partition as `b`, whose ids are built
-    once per snapshot. A cluster whose rows share one id, or all differ,
-    is kept or dropped whole after counting its ids, without bucketing.
+    Runs in time linear in the covered rows of `a`. A cluster whose rows
+    share one id, or all differ, is kept or dropped whole after counting
+    its ids, without bucketing.
     """
     if a.relation_size != b.relation_size:
         raise ContractError("cannot intersect partitions of different relations")
     ids = b.ids
+    if ids is None:
+        raise ContractError("intersect splits by a single attribute's partition")
     id_of = ids.__getitem__
     out: list[tuple[int, ...]] = []
     for cluster in a.clusters:

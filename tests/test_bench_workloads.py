@@ -69,9 +69,9 @@ def test_query_scan_groupings_are_pinned(tmp_path, monkeypatch):
     grouped = []
     real_pli_of = fdq.partition.pli_of
 
-    def pli_of(relation, attrs, scope=None):
-        grouped.append(tuple(relation.attribute_names[a] for a in attrs))
-        return real_pli_of(relation, attrs, scope)
+    def pli_of(relation, attribute):
+        grouped.append((relation.attribute_names[attribute],))
+        return real_pli_of(relation, attribute)
 
     monkeypatch.setattr(fdq.partition, "pli_of", pli_of)
     coded = value_id_builds(monkeypatch)

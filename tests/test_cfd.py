@@ -2,6 +2,7 @@ import pytest
 
 from fdq.cfd import PatternTableau, cfd_support, tableau_match_rows
 from fdq.errors import ContractError, KindMismatchError, NameResolutionError
+from fdq.relation import Relation
 
 # a bad cell is a user error, raised before any row is read
 BAD_CELLS = {
@@ -40,3 +41,10 @@ BAD_CELLS = {
 def test_bad_cells_are_user_errors(iowa, call, error):
     with pytest.raises(error):
         call(iowa)
+
+
+def test_match_rows_honours_null_as_unmatched():
+    r = Relation.build("t", [("a", "text"), ("b", "text")], [("x", "1"), (None, "2")])
+    tableau = PatternTableau(("a",), ((("=", "x"),), (("!=", "x"),)))
+    # both pattern rows carry a constraint, so the null row matches neither
+    assert tableau_match_rows(r, tableau) == {0}

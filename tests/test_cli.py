@@ -472,17 +472,17 @@ class TestSnapshotWork:
 
 class TestPartitionWork:
     """Deterministic work counters for the partitions a snapshot keeps: the
-    attribute sets grouped per statement, counted by wrapping `pli_of`,
-    which builds every partition that is not kept yet."""
+    attributes grouped per statement, counted by wrapping `pli_of`, the one
+    function that groups rows, which builds every partition not kept yet."""
 
     @pytest.fixture()
     def built(self, monkeypatch):
         attrs = []
         real = fdq.partition.pli_of
 
-        def counting(relation, columns, scope=None):
-            attrs.append(tuple(relation.attribute_names[a] for a in columns))
-            return real(relation, columns, scope)
+        def counting(relation, attribute):
+            attrs.append((relation.attribute_names[attribute],))
+            return real(relation, attribute)
 
         monkeypatch.setattr(fdq.partition, "pli_of", counting)
         return attrs

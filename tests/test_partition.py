@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from canonical import assert_canonical
+from canonical import assert_canonical, reference_partition
 
 from fdq.errors import ContractError
 from fdq.partition import (
@@ -13,7 +13,6 @@ from fdq.partition import (
 )
 from fdq.partition import build_pli as _build_pli
 from fdq.partition import intersect as _intersect
-from fdq.partition import pli_of as _pli_of
 from fdq.relation import Relation, load_csv
 
 
@@ -24,10 +23,6 @@ def idx(relation, name):
 # every partition these tests build is also checked for canonical form
 def build_pli(relation, attribute):
     return assert_canonical(_build_pli(relation, attribute))
-
-
-def pli_of(relation, attrs, scope=None):
-    return assert_canonical(_pli_of(relation, attrs, scope))
 
 
 def intersect(a, b):
@@ -93,9 +88,9 @@ class TestIntersect:
         a = build_pli(iowa, idx(iowa, "Category"))
         b = build_pli(iowa, idx(iowa, "BtlVol"))
         assert intersect(a, b).clusters == ((2, 9), (4, 7), (5, 6))
-        assert intersect(a, b).clusters == pli_of(
+        assert intersect(a, b) == reference_partition(
             iowa, [idx(iowa, "Category"), idx(iowa, "BtlVol")]
-        ).clusters
+        )
 
     def test_commutes(self, iowa):
         names = iowa.attribute_names
@@ -112,6 +107,11 @@ class TestIntersect:
         a = build_pli(rel, 0)
         b = build_pli(rel, 1)
         assert intersect(a, b).clusters == ()
+
+    def test_splits_only_by_a_single(self, iowa):
+        a = build_pli(iowa, idx(iowa, "Category"))
+        with pytest.raises(ContractError):
+            intersect(a, intersect(a, a))  # a product carries no value ids
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ContractError):

@@ -10,7 +10,7 @@ from operator import add, eq, ge, gt, le, lt, mul, ne
 from unittest import mock
 
 import pytest
-from canonical import assert_canonical
+from canonical import assert_canonical, generator_grouped, reference_partition
 from hypothesis import example, given, settings, strategies as st
 from literals import literal_value, number_literals, same_value
 from oracle import brute_force_mine
@@ -23,8 +23,6 @@ from fdq.cfd import (
     PatternTableau,
     cfd_confidence,
     cfd_support,
-    condition_to_tableau,
-    tableau_match_rows,
 )
 from fdq.cli import Session, run_command
 from fdq.errors import FdqError, ParseError
@@ -46,14 +44,11 @@ from fdq.fdstore import (
 )
 from fdq.miner import MiningSpec, mine_fds, parse_minefd
 from fdq.partition import (
-    PLI,
     build_pli,
     error_measure,
-    grouped,
     intersect,
     pair_errors,
     partition_of,
-    pli_of,
     value_ids,
     violating_rows,
 )
@@ -499,22 +494,20 @@ def test_dependent_matches_the_minimal_cover(relation, bound):
 @common
 @given(relations(min_attrs=2, max_rows=14))
 def test_pli_intersection_equals_combined_pli(relation):
+    # any partition of `a`, split by each single of `b` in turn
     indexes = [m.index for m in relation.schema]
     half = max(1, len(indexes) // 2)
     a, b = indexes[:half], indexes[half:]
-    combined = assert_canonical(pli_of(relation, a + b))
-    merged = assert_canonical(
-        intersect(
-            assert_canonical(pli_of(relation, a)), assert_canonical(pli_of(relation, b))
-        )
-    )
-    assert combined.clusters == merged.clusters
+    merged = reference_partition(relation, a)
+    for y in b:
+        merged = assert_canonical(intersect(merged, build_pli(relation, y)))
+    assert merged == reference_partition(relation, a + b)
 
 
 @common
 @given(relations(max_rows=14))
 def test_pli_clusters_are_disjoint_and_stripped(relation):
-    assert_canonical(pli_of(relation, [m.index for m in relation.schema]))
+    assert_canonical(partition_of(relation, [m.index for m in relation.schema]))
 
 
 # nulls, and equal values of different type or spelling, in every column
@@ -567,10 +560,8 @@ def unstaged_pair_errors(pli, id_columns, scope_size):
 def test_staged_pair_errors_decide_like_the_full_count(case, data):
     relation, scope, lhs, stage_rows = case
     dependents = [m.index for m in relation.schema if m.index not in lhs]
-    pli = assert_canonical(pli_of(relation, lhs, scope))
-    ids = [
-        assert_canonical(pli_of(relation, [a], scope)).ids for a in dependents
-    ]
+    pli = assert_canonical(partition_of(relation, lhs, scope))
+    ids = [value_ids(relation, a) for a in dependents]
     exact = unstaged_pair_errors(pli, ids, len(scope))
     # 0, a small bound, or a tie with one of the exact errors
     bound = data.draw(st.sampled_from([0.0, 0.05, *exact]))
@@ -592,10 +583,10 @@ def test_split_scoring_decides_like_the_product(case, data):
     relation, scope, lhs, stage_rows = case
     outside = [m.index for m in relation.schema if m.index not in lhs]
     y = data.draw(st.sampled_from(outside))
-    single = assert_canonical(pli_of(relation, [y]))
-    base = assert_canonical(pli_of(relation, lhs, scope))
+    single = assert_canonical(build_pli(relation, y))
+    base = assert_canonical(partition_of(relation, lhs, scope))
     product = assert_canonical(intersect(base, single))
-    ids = [pli_of(relation, [a], scope).ids for a in outside if a != y]
+    ids = [value_ids(relation, a) for a in outside if a != y]
     exact = unstaged_pair_errors(product, ids, len(scope))
     bound = data.draw(st.sampled_from([0.0, 0.05, inf, *exact]))
     with mock.patch.object(fdq.partition, "STAGE_ROWS", stage_rows):
@@ -611,35 +602,13 @@ def test_split_scoring_decides_like_the_product(case, data):
                 assert err > bound
 
 
-def generator_grouped(relation, attrs, scope=None):
-    """The grouping before C-level keys: one generator tuple per row."""
-    rows = relation.rows
-    indices = range(len(rows)) if scope is None else sorted(scope)
-    groups = {}
-    for i in indices:
-        groups.setdefault(tuple(rows[i][a] for a in attrs), []).append(i)
-    return groups
-
-
 @common
-@given(kernel_cases(), st.integers(0, 3), st.booleans())
-def test_grouping_equals_the_generator_grouping(case, arity, scoped):
-    relation, scope, _, _ = case
-    attrs = list(range(min(arity, len(relation.schema))))
-    expected = generator_grouped(relation, attrs, scope if scoped else None)
-    got = grouped(relation, attrs, scope if scoped else None)
-    # equal keys may differ in type (1 == Decimal("1.0")): the first row's wins
-    assert [(k, [type(v) for v in k], g) for k, g in got.items()] == [
-        (k, [type(v) for v in k], g) for k, g in expected.items()
-    ]
-
-
-@common
-@given(kernel_cases(), st.booleans())
-def test_partition_from_kept_singles_equals_a_fresh_grouping(case, scoped):
+@given(kernel_cases(), st.booleans(), st.booleans())
+def test_partition_from_kept_singles_equals_a_fresh_grouping(case, scoped, empty):
     relation, scope, lhs, _ = case
     scope = scope if scoped else None
-    expected = assert_canonical(pli_of(relation, lhs, scope))
+    lhs = [] if empty else lhs  # every scope row agrees on no attributes
+    expected = reference_partition(relation, lhs, scope)
     assert assert_canonical(partition_of(relation, lhs, scope)) == expected
     # once more from the singles the first call kept
     assert partition_of(relation, lhs, scope) == expected
@@ -669,7 +638,7 @@ def coded_relations(draw):
 def test_value_ids_and_single_partitions_equal_the_grouping(relation):
     n = relation.row_count
     for a in range(len(relation.schema)):
-        groups = grouped(relation, [a]).values()
+        groups = generator_grouped(relation, [a]).values()
         expected = [None] * n
         for group in groups:
             for row in group:
@@ -684,9 +653,14 @@ def test_value_ids_and_single_partitions_equal_the_grouping(relation):
         )
         pli = assert_canonical(build_pli(relation, a))
         assert pli.clusters == tuple(tuple(g) for g in groups if len(g) >= 2)
-        # the partition shares the ids, equal to those its clusters give
+        # the partition shares the ids, equal to those its clusters give:
+        # a row's cluster's smallest row, or the row itself outside them
         assert pli.ids is ids
-        assert PLI(pli.clusters, n).ids == ids
+        from_clusters = list(range(n))
+        for cluster in pli.clusters:
+            for row in cluster:
+                from_clusters[row] = cluster[0]
+        assert from_clusters == ids
 
 
 # --- mining -------------------------------------------------------------------------
@@ -792,7 +766,8 @@ def test_every_partition_product_is_scored(relation, threshold):
         mask = attrs[id(product)]
         held = [a for a in range(len(relation.schema)) if mask >> a & 1]
         assert mask in candidates | nodes or any(
-            pli_of(relation, [b for b in held if b != a]) == product for a in held
+            reference_partition(relation, [b for b in held if b != a]) == product
+            for a in held
         )
 
 
@@ -1216,35 +1191,3 @@ def test_fdml_evaluation_equals_the_per_entry_oracle(query, fdset, schema):
     if query.projection == "pairs":
         rows = [row[:2] for row in rows]
     assert list(eval_fdml(query, fdset, schema).rows) == rows
-
-
-def _typed_constant(meta, integer_pick, text_pick):
-    return integer_pick if meta.kind == "integer" else text_pick
-
-
-@common
-@given(
-    relations(min_attrs=2, max_attrs=4, max_rows=10),
-    st.integers(0, 3),
-    st.sampled_from("abc"),
-    st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
-)
-def test_tableau_compilation_matches_direct_evaluation(relation, n, s, op):
-    names = list(relation.attribute_names)
-    lhs, rhs = names[:-1], names[-1]
-    first, last = relation.schema[0], relation.schema[-1]
-    condition = Or(
-        (
-            Comparison(first.name, op, _typed_constant(first, n, s)),
-            And(
-                (
-                    Comparison(first.name, "!=", _typed_constant(first, n, s)),
-                    Comparison(last.name, "=", _typed_constant(last, n, s)),
-                )
-            ),
-        )
-    )
-    tableau = condition_to_tableau(condition, lhs, rhs, relation)
-    assert tableau_match_rows(relation, tableau) == eval_row_predicate(
-        relation, condition
-    )

@@ -5,10 +5,8 @@ import pytest
 
 import fdq.partition
 import fdq.query
-from fdq.cfd import PatternTableau, condition_to_tableau, tableau_match_rows
 from fdq.errors import (
     ContractError,
-    KindMismatchError,
     NameResolutionError,
     ParameterError,
     ParseError,
@@ -28,7 +26,7 @@ from fdq.query import (
     select_to_text,
     value_distance,
 )
-from fdq.relation import And, Comparison, Not, Or, Relation, TRUE
+from fdq.relation import And, Comparison, Not, Or, Relation
 
 # The fixture's on-scope workhorse: restrict to large bottles in the bourbon
 # category or carrying the scotch label, then ask whether category and volume
@@ -302,6 +300,10 @@ class TestEvalHolds:
         # other (Category, BtlVol) cluster is clean
         kept = eval_holds(iowa, ["Category", "BtlVol"], "CategoryName")
         assert kept == {0, 1, 3, 4, 5, 6, 7, 8}
+        # every row agrees on no attributes: all are kept exactly when the
+        # dependent is constant
+        r = rel(["a", "b"], [("x", "1"), ("x", "2"), ("x", "1")])
+        assert [eval_holds(r, [], a) for a in "ab"] == [{0, 1, 2}, set()]
 
     def test_scoped(self, iowa):
         ast = parse_extended_select(SCOPED_HOLDS)
@@ -733,76 +735,3 @@ class TestExecute:
     def test_unknown_projection_attribute(self, iowa):
         with pytest.raises(NameResolutionError):
             self.run('SELECT "Nope" FROM IOWA', iowa)
-
-
-class TestConditionToTableau:
-    def test_scoped_listing_condition(self, iowa):
-        pred = parse_extended_select(SCOPED_HOLDS).where
-        tableau = condition_to_tableau(pred.on, pred.lhs, pred.rhs, iowa)
-        assert tableau.attributes == ("Category", "BtlVol", "CategoryName")
-        assert tableau.rows == (
-            (("=", 11200), (">=", 750), None),
-            (None, (">=", 750), ("=", "SCOTCH")),
-        )
-
-    def test_symbolic_rows_match_like_enumerated_constants(self, iowa):
-        # enumerating ">= 750" over the two volumes present in the data
-        # gives four all-constant rows with the same matching behaviour
-        pred = parse_extended_select(SCOPED_HOLDS).where
-        symbolic = condition_to_tableau(pred.on, pred.lhs, pred.rhs, iowa)
-        enumerated = PatternTableau(
-            ("Category", "BtlVol", "CategoryName"),
-            (
-                (("=", 11200), ("=", 750), None),
-                (None, ("=", 750), ("=", "SCOTCH")),
-                (("=", 11200), ("=", 1000), None),
-                (None, ("=", 1000), ("=", "SCOTCH")),
-            ),
-        )
-        matched = tableau_match_rows(iowa, symbolic)
-        assert matched == tableau_match_rows(iowa, enumerated)
-        assert matched == {4, 5, 6, 7}
-
-    def test_true_condition_becomes_wildcard_row(self, iowa):
-        tableau = condition_to_tableau(TRUE, ["Category"], "CategoryName", iowa)
-        assert tableau.rows == ((None, None),)
-        assert tableau_match_rows(iowa, tableau) == set(range(10))
-
-    def test_not_flips_operator(self, iowa):
-        tableau = condition_to_tableau(
-            Not(Comparison("Pack", "=", 12)), ["Pack"], "BtlVol", iowa
-        )
-        assert tableau.rows == ((("!=", 12), None),)
-
-    def test_or_splits_rows_and_dedupes(self, iowa):
-        cond = Or((Comparison("Pack", "=", 12), Comparison("Pack", "=", 12)))
-        tableau = condition_to_tableau(cond, ["Pack"], "BtlVol", iowa)
-        assert tableau.rows == ((("=", 12), None),)
-
-    def test_conflicting_constraints_in_one_branch(self, iowa):
-        cond = And((Comparison("Pack", "=", 12), Comparison("Pack", "=", 6)))
-        with pytest.raises(ContractError, match="two constraints"):
-            condition_to_tableau(cond, ["Pack"], "BtlVol", iowa)
-
-    def test_repeated_identical_constraint_is_fine(self, iowa):
-        cond = And((Comparison("Pack", "=", 12), Comparison("Pack", "=", 12)))
-        tableau = condition_to_tableau(cond, ["Pack"], "BtlVol", iowa)
-        assert tableau.rows == ((("=", 12), None),)
-
-    def test_atom_outside_dependency(self, iowa):
-        with pytest.raises(ContractError, match="outside"):
-            condition_to_tableau(
-                Comparison("Sale", ">", 100), ["Pack"], "BtlVol", iowa
-            )
-
-    def test_constant_kind_is_checked(self, iowa):
-        with pytest.raises(KindMismatchError):
-            condition_to_tableau(
-                Comparison("Category", "=", "abc"), ["Category"], "Pack", iowa
-            )
-
-    def test_match_rows_honours_null_as_unmatched(self):
-        r = rel(["a", "b"], [("x", "1"), (None, "2")])
-        tableau = PatternTableau(("a",), ((("=", "x"),), (("!=", "x"),)))
-        # both pattern rows carry a constraint, so the null row matches neither
-        assert tableau_match_rows(r, tableau) == {0}
