@@ -15,8 +15,8 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
-from itertools import repeat, starmap
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Iterator
 
 from .errors import (
     FdqError,
@@ -91,7 +91,11 @@ class Session:
 # --- rendering ------------------------------------------------------------------
 
 def render(table: ResultTable, mode: str = "table") -> str:
-    """Deterministic text for a result table in one of the three modes."""
+    """Deterministic text for a result table in one of the three modes.
+
+    Every mode takes its texts from `_column_texts`, and each per-text
+    step (padding, csv quoting, labels) runs once per distinct text of a
+    column, so the work follows the distinct values, not the cells."""
     if mode == "csv":
         return _render_csv(table)
     if mode == "records":
@@ -101,21 +105,36 @@ def render(table: ResultTable, mode: str = "table") -> str:
     raise ValueError(f"unknown output mode {mode!r}")
 
 
+def _once_each(function: Callable, items) -> Iterator:
+    """`map(function, items)`, calling `function` once per distinct item."""
+    distinct = dict.fromkeys(items)
+    return map(dict(zip(distinct, map(function, distinct))).__getitem__, items)
+
+
+# exactly the cell types whose equal values print alike; a bool would
+# merge with 1 or 0 as a dict key
+_ONE_TEXT_PER_VALUE = {int, str, type(None)}
+
+
 def _column_texts(table: ResultTable) -> list[list[str]]:
-    """The text of every cell, one list per column, by `format_cell`."""
-    if not table.rows:
-        return [[] for _ in table.columns]
+    """The text of every cell, one list per column, by `format_cell`.
+
+    A column whose cells are all ints, texts or nulls is formatted once per
+    distinct value, and equal cells share one text. Any other column is
+    formatted cell by cell, since equal decimals or floats can print
+    differently: LOAD keeps `1.0` and `1.00`, or `-0` and `0.0`, and an
+    UPDATE's `Decimal(1)` can sit beside a loaded `1.0`."""
     texts = []
     for column in zip(*table.rows):
-        text = list(map(str, column))
-        # str gives "None" for a null; scanning the texts for it is cheaper
-        # than scanning the cells, where Decimal's == against None is slow
-        texts.append(list(map(format_cell, column)) if "None" in text else text)
-    return texts
+        if set(map(type, column)) <= _ONE_TEXT_PER_VALUE:
+            texts.append(list(_once_each(format_cell, column)))
+        else:
+            texts.append(list(map(format_cell, column)))
+    return texts or [[] for _ in table.columns]
 
 
-def _text_rows(columns: list[list[str]], count: int):
-    """The rows across per-column lists; `count` empty rows if no column."""
+def _text_rows(columns: list, count: int):
+    """The rows across per-column sequences; `count` empty rows if no column."""
     return zip(*columns) if columns else repeat((), count)
 
 
@@ -126,10 +145,14 @@ def _render_grid(table: ResultTable) -> str:
         for name, column in zip(table.columns, texts)
     ]
     # every line is stripped on the right, so the last column needs no padding
-    fmt = " | ".join([f"{{:<{w}}}" for w in widths[:-1]] + ["{}"]) if widths else ""
+    padded = [
+        _once_each(lambda text, w=w: text.ljust(w), column)
+        for column, w in zip(texts[:-1], widths)
+    ]
     n = len(table.rows)
-    lines = [fmt.format(*table.columns).rstrip(), "-+-".join("-" * w for w in widths)]
-    lines += map(str.rstrip, starmap(fmt.format, _text_rows(texts, n)))
+    header = [name.ljust(w) for name, w in zip(table.columns, widths)]
+    lines = [" | ".join(header).rstrip(), "-+-".join("-" * w for w in widths)]
+    lines += map(str.rstrip, map(" | ".join, _text_rows(padded + texts[-1:], n)))
     lines.append(f"({n} row)" if n == 1 else f"({n} rows)")
     return "\n".join(lines)
 
@@ -141,7 +164,7 @@ def _csv_field(text: str) -> str:
 
 
 def _render_csv(table: ResultTable) -> str:
-    fields = [list(map(_csv_field, column)) for column in _column_texts(table)]
+    fields = [_once_each(_csv_field, column) for column in _column_texts(table)]
     lines = [",".join(map(_csv_field, table.columns))]
     lines += map(",".join, _text_rows(fields, len(table.rows)))
     return "\r\n".join(lines)
@@ -152,7 +175,7 @@ def _render_records(table: ResultTable) -> str:
         return "(0 rows)"
     width = max(map(len, table.columns), default=0)
     labelled = [
-        list(map(f"{name.ljust(width)}: ".__add__, column))
+        _once_each(f"{name.ljust(width)}: ".__add__, column)
         for name, column in zip(table.columns, _column_texts(table))
     ]
     return "\n\n".join(map("\n".join, _text_rows(labelled, len(table.rows))))

@@ -305,18 +305,23 @@ def _lines(text: str) -> Iterator[str]:
 
 
 def _transpose(
-    chunk: list[list[str]], columns: list[list[str]], lines: list[int]
+    chunk: list[list[str]],
+    columns: list[list[str]],
+    seen: list[dict[str, str]],
+    lines: list[int],
 ) -> str:
     """Append each record of the chunk to the column lists, field by field,
     or return the error for the chunk's first record of another arity, in
-    which case nothing is appended. `lines` ends with the chunk's lines."""
+    which case nothing is appended. `lines` ends with the chunk's lines.
+    Each column appends the first text it saw equal to a cell, kept in its
+    dict of `seen` texts, so the chunk's own copies go with the chunk."""
     arity = len(columns)
     if not set(map(len, chunk)) <= {arity}:
         for record, line in zip(chunk, lines[len(lines) - len(chunk):]):
             if len(record) != arity:
                 return f"line {line}: expected {arity} fields, got {len(record)}"
-    for column, cells in zip(columns, zip(*chunk)):
-        column.extend(cells)
+    for column, texts, cells in zip(columns, seen, zip(*chunk)):
+        column.extend(map(texts.setdefault, cells, cells))
     return ""
 
 
@@ -332,9 +337,11 @@ def load_csv(
     `source` is a file path, raw bytes, or an open text/binary stream.
     Cells equal to `null_token` become None before kind inference. Column
     kinds: integer if every non-null cell is an integer literal, else
-    decimal if every non-null cell parses as a decimal, else text. Equal
-    cells of a column share one value object. Without a header,
-    attributes are named col0..colN-1.
+    decimal if every non-null cell parses as a decimal, else text. While
+    reading, a column keeps one text per distinct cell, and each distinct
+    cell is inferred from and converted once, so equal cells of a column
+    share one value object. Without a header, attributes are named
+    col0..colN-1.
     """
     where = "CSV source"
     if isinstance(source, (str, os.PathLike)):
@@ -364,6 +371,7 @@ def load_csv(
     # error anywhere wins over the header and the records' arity
     header: list[str] | None = None
     columns: list[list[str]] = []
+    seen: list[dict[str, str]] = []  # per column, its distinct texts
     data_lines: list[int] = []
     chunk: list[list[str]] = []
     ragged = ""  # the error for the first record of another arity
@@ -373,6 +381,7 @@ def load_csv(
                 continue  # tolerate blank lines
             if header is None:
                 columns = [[] for _ in record]
+                seen = [{} for _ in record]
                 if has_header:
                     header = record
                     continue
@@ -380,9 +389,9 @@ def load_csv(
             chunk.append(record)
             data_lines.append(reader.line_num)
             if len(chunk) == CHUNK_RECORDS:
-                ragged = ragged or _transpose(chunk, columns, data_lines)
+                ragged = ragged or _transpose(chunk, columns, seen, data_lines)
                 chunk.clear()
-        ragged = ragged or _transpose(chunk, columns, data_lines)
+        ragged = ragged or _transpose(chunk, columns, seen, data_lines)
     except csv.Error as exc:
         raise IngestError(f"cannot parse {where}: {exc}") from exc
 
@@ -396,8 +405,9 @@ def load_csv(
     kinds = []
     for j, column in enumerate(columns):
         # the kind depends only on the set of cells, so each distinct cell is
-        # inferred from and converted once, and equal cells share one value
-        distinct = dict.fromkeys(column)
+        # inferred from and converted once, and equal cells share one value;
+        # the column's distinct texts are dropped with it
+        distinct, seen[j] = seen[j], None
         distinct.pop(null_token, None)
         kind = _infer_kind(distinct)
         convert = _CONVERTERS.get(kind, str)  # str() of a str is that str

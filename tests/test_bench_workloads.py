@@ -3,7 +3,8 @@ whose time is mostly the lattice walk, and `query_scan`, whose time is the
 row queries. The tables and scripts come from the benchmark's own
 generator (bench/workloads.py), so a change to the walk that builds more
 partition products, scores more dependents or reads more rows, or a change
-to the queries that groups more columns, fails here, with no stopwatch."""
+to the queries that groups more columns, or a change to rendering that
+formats more cell texts, fails here, with no stopwatch."""
 
 import hashlib
 import importlib.util
@@ -87,3 +88,26 @@ def test_query_scan_groupings_are_pinned(tmp_path, monkeypatch):
     assert grouped == [("Store",), ("Category",), ("Zip",), ("Vendor",)]
     # every column's value ids, once: the dependents' and the singles'
     assert len(coded) == len(set(coded)) == 8
+
+
+def test_query_scan_formats_each_distinct_value_once(tmp_path, monkeypatch):
+    workload = generate("query_scan", tmp_path, monkeypatch)
+    formatted = []
+    real_format_cell = fdq.cli.format_cell
+
+    def format_cell(value):
+        formatted.append(value)
+        return real_format_cell(value)
+
+    monkeypatch.setattr(fdq.cli, "format_cell", format_cell)
+    session = fdq.cli.Session(data_dir=str(tmp_path))
+    counts = []
+    for statement in workload.statements:
+        del formatted[:]
+        session, _ = fdq.cli.run_command(session, statement.text)
+        counts.append(len(formatted))
+    # the script renders 123 693 cells, and formatting each on its own
+    # formatted them all. The int and text columns now format once per
+    # distinct value. The decimal Sale is still formatted cell by cell: it
+    # is 8 853 of the 9 754, 1 147 of each 1 414 and 608 of the 722
+    assert counts == [0, 9754, 1414, 46, 62, 24, 722, 1414, 122, 4]
