@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
 from itertools import repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     FdqError,
@@ -95,7 +95,8 @@ def render(table: ResultTable, mode: str = "table") -> str:
 
     Every mode takes its texts from `_column_texts`, and each per-text
     step (padding, csv quoting, labels) runs once per distinct text of a
-    column, so the work follows the distinct values, not the cells."""
+    column whose texts repeat, so the work follows the distinct values,
+    not the cells."""
     if mode == "csv":
         return _render_csv(table)
     if mode == "records":
@@ -105,10 +106,26 @@ def render(table: ResultTable, mode: str = "table") -> str:
     raise ValueError(f"unknown output mode {mode!r}")
 
 
-def _once_each(function: Callable, items) -> Iterator:
-    """`map(function, items)`, calling `function` once per distinct item."""
+# items looked at to tell whether a column repeats its values
+_PROBE = 1024
+
+
+def _repeats(items: Sequence) -> bool:
+    """Whether at most half of the first `_PROBE` items are distinct. Only
+    then do one result per distinct item and the two dicts that share it
+    cost less than a result per item."""
+    probe = items[:_PROBE]
+    return 2 * len(set(probe)) <= len(probe)
+
+
+def _once_each(function: Callable, items: Sequence, *args) -> Iterator:
+    """`function(item, *args)` of each item, called once per distinct item
+    where the items repeat."""
+    if not _repeats(items):
+        return map(function, items, *map(repeat, args))
     distinct = dict.fromkeys(items)
-    return map(dict(zip(distinct, map(function, distinct))).__getitem__, items)
+    results = map(function, distinct, *map(repeat, args))
+    return map(dict(zip(distinct, results)).__getitem__, items)
 
 
 # exactly the cell types whose equal values print alike; a bool would
@@ -116,20 +133,26 @@ def _once_each(function: Callable, items) -> Iterator:
 _ONE_TEXT_PER_VALUE = {int, str, type(None)}
 
 
-def _column_texts(table: ResultTable) -> list[list[str]]:
-    """The text of every cell, one list per column, by `format_cell`.
+def _cell_texts(column: tuple) -> list[str]:
+    """The text of each cell of a column, by `format_cell`.
 
-    A column whose cells are all ints, texts or nulls is formatted once per
-    distinct value, and equal cells share one text. Any other column is
-    formatted cell by cell, since equal decimals or floats can print
-    differently: LOAD keeps `1.0` and `1.00`, or `-0` and `0.0`, and an
-    UPDATE's `Decimal(1)` can sit beside a loaded `1.0`."""
-    texts = []
-    for column in zip(*table.rows):
-        if set(map(type, column)) <= _ONE_TEXT_PER_VALUE:
-            texts.append(list(_once_each(format_cell, column)))
-        else:
-            texts.append(list(map(format_cell, column)))
+    A column of repeated ints, texts or nulls is formatted once per distinct
+    value, and equal cells share one text. Decimal and float columns are
+    formatted cell by cell, since equal values there can print differently:
+    LOAD keeps `1.0` and `1.00`, or `-0` and `0.0`, and an UPDATE's
+    `Decimal(1)` can sit beside a loaded `1.0`. So is a column of mostly
+    distinct cells, where sharing would not pay for its dicts."""
+    if _repeats(column) and set(map(type, column)) <= _ONE_TEXT_PER_VALUE:
+        return list(_once_each(format_cell, column))
+    text = list(map(str, column))
+    # str gives "None" for a null; scanning the texts for it is cheaper
+    # than scanning the cells, where Decimal's == against None is slow
+    return list(map(format_cell, column)) if "None" in text else text
+
+
+def _column_texts(table: ResultTable) -> list[list[str]]:
+    """The texts of every cell, one list per column."""
+    texts = [_cell_texts(column) for column in zip(*table.rows)]
     return texts or [[] for _ in table.columns]
 
 
@@ -146,8 +169,7 @@ def _render_grid(table: ResultTable) -> str:
     ]
     # every line is stripped on the right, so the last column needs no padding
     padded = [
-        _once_each(lambda text, w=w: text.ljust(w), column)
-        for column, w in zip(texts[:-1], widths)
+        _once_each(str.ljust, column, w) for column, w in zip(texts, widths[:-1])
     ]
     n = len(table.rows)
     header = [name.ljust(w) for name, w in zip(table.columns, widths)]

@@ -307,21 +307,28 @@ def _lines(text: str) -> Iterator[str]:
 def _transpose(
     chunk: list[list[str]],
     columns: list[list[str]],
-    seen: list[dict[str, str]],
+    seen: list[dict[str, str] | None],
     lines: list[int],
 ) -> str:
     """Append each record of the chunk to the column lists, field by field,
     or return the error for the chunk's first record of another arity, in
     which case nothing is appended. `lines` ends with the chunk's lines.
-    Each column appends the first text it saw equal to a cell, kept in its
-    dict of `seen` texts, so the chunk's own copies go with the chunk."""
+    A column with a dict of `seen` texts appends the first text it saw
+    equal to a cell, so the chunk's own copies go with the chunk. Once more
+    than half its cells are distinct, the dict would cost more than it
+    shares, and the column is dropped from `seen` (set to None)."""
     arity = len(columns)
     if not set(map(len, chunk)) <= {arity}:
         for record, line in zip(chunk, lines[len(lines) - len(chunk):]):
             if len(record) != arity:
                 return f"line {line}: expected {arity} fields, got {len(record)}"
-    for column, texts, cells in zip(columns, seen, zip(*chunk)):
+    for j, (column, texts, cells) in enumerate(zip(columns, seen, zip(*chunk))):
+        if texts is None:
+            column.extend(cells)
+            continue
         column.extend(map(texts.setdefault, cells, cells))
+        if 2 * len(texts) > len(column):
+            seen[j] = None
     return ""
 
 
@@ -338,9 +345,10 @@ def load_csv(
     Cells equal to `null_token` become None before kind inference. Column
     kinds: integer if every non-null cell is an integer literal, else
     decimal if every non-null cell parses as a decimal, else text. While
-    reading, a column keeps one text per distinct cell, and each distinct
-    cell is inferred from and converted once, so equal cells of a column
-    share one value object. Without a header, attributes are named
+    reading, a column of repeated cells keeps one text per distinct cell
+    (one of mostly distinct cells keeps the reader's texts), and each
+    distinct cell is inferred from and converted once, so equal cells of a
+    column share one value object. Without a header, attributes are named
     col0..colN-1.
     """
     where = "CSV source"
@@ -371,7 +379,7 @@ def load_csv(
     # error anywhere wins over the header and the records' arity
     header: list[str] | None = None
     columns: list[list[str]] = []
-    seen: list[dict[str, str]] = []  # per column, its distinct texts
+    seen: list[dict[str, str] | None] = []  # per column, its distinct texts
     data_lines: list[int] = []
     chunk: list[list[str]] = []
     ragged = ""  # the error for the first record of another arity
@@ -408,6 +416,8 @@ def load_csv(
         # inferred from and converted once, and equal cells share one value;
         # the column's distinct texts are dropped with it
         distinct, seen[j] = seen[j], None
+        if distinct is None:
+            distinct = dict.fromkeys(column)
         distinct.pop(null_token, None)
         kind = _infer_kind(distinct)
         convert = _CONVERTERS.get(kind, str)  # str() of a str is that str

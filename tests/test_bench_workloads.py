@@ -92,22 +92,35 @@ def test_query_scan_groupings_are_pinned(tmp_path, monkeypatch):
 
 def test_query_scan_formats_each_distinct_value_once(tmp_path, monkeypatch):
     workload = generate("query_scan", tmp_path, monkeypatch)
-    formatted = []
+    formatted = []  # cells given to format_cell
+    by_str = []  # cells of columns whose texts str made, with no format_cell call
     real_format_cell = fdq.cli.format_cell
+    real_cell_texts = fdq.cli._cell_texts
 
     def format_cell(value):
         formatted.append(value)
         return real_format_cell(value)
 
+    def cell_texts(column):
+        calls = len(formatted)
+        texts = real_cell_texts(column)
+        if len(formatted) == calls:
+            by_str.extend(column)
+        return texts
+
     monkeypatch.setattr(fdq.cli, "format_cell", format_cell)
+    monkeypatch.setattr(fdq.cli, "_cell_texts", cell_texts)
     session = fdq.cli.Session(data_dir=str(tmp_path))
     counts = []
     for statement in workload.statements:
-        del formatted[:]
+        del formatted[:], by_str[:]
         session, _ = fdq.cli.run_command(session, statement.text)
-        counts.append(len(formatted))
-    # the script renders 123 693 cells, and formatting each on its own
-    # formatted them all. The int and text columns now format once per
-    # distinct value. The decimal Sale is still formatted cell by cell: it
-    # is 8 853 of the 9 754, 1 147 of each 1 414 and 608 of the 722
-    assert counts == [0, 9754, 1414, 46, 62, 24, 722, 1414, 122, 4]
+        counts.append((len(formatted), len(by_str)))
+    # (format_cell calls, texts made by str) per statement. The script
+    # renders 123 693 cells, and formatting each on its own formatted them
+    # all. The int and text columns now format once per distinct value. The
+    # decimal Sale, with no null, is still formatted cell by cell by str
+    assert counts == [
+        (0, 0), (901, 8853), (267, 1147), (46, 0), (62, 0), (24, 0),
+        (114, 608), (267, 1147), (122, 0), (4, 0),
+    ]

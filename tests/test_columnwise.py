@@ -360,17 +360,23 @@ def few_valued_csv(rows: int) -> bytes:
     return "\n".join(lines).encode()
 
 
-def test_load_and_render_peaks_follow_the_distinct_values():
-    """tracemalloc peaks over 20 000 rows of four columns. Holding one text
-    per cell until conversion, LOAD peaked at 5.74 MB for 1.63 MB kept; it
-    now peaks at 3.42 MB. Formatting and padding every cell on its own,
-    the grid peaked at 5.49 MB for a 0.80 MB output; it now peaks at
-    3.42 MB. Each bound sits about halfway between."""
-    source = few_valued_csv(20_000)
+def distinct_valued_csv(rows: int) -> bytes:
+    """Eight columns of ints and texts, no cell repeated in its column."""
+    lines = [",".join(f"c{j}" for j in range(8))]
+    for i in range(rows):
+        cells = (f"id {j} {i}" if j % 2 else str(i * (j + 7)) for j in range(8))
+        lines.append(",".join(cells))
+    return "\n".join(lines).encode()
+
+
+def peak_ratios(source: bytes) -> tuple[float, float]:
+    """tracemalloc peaks of LOAD, over the size of what it keeps, and of
+    rendering the grid, over the length of the text. Ratios hold better
+    than sizes as the interpreter's object sizes change."""
     tracemalloc.start()
     try:
         relation = load_csv(source)
-        _, load_peak = tracemalloc.get_traced_memory()
+        kept, load_peak = tracemalloc.get_traced_memory()
         table = ResultTable(relation.attribute_names, relation.rows)
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
@@ -378,9 +384,30 @@ def test_load_and_render_peaks_follow_the_distinct_values():
         _, render_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(text) == 795_096
-    assert load_peak < 4_500_000
-    assert render_peak - before < 4_500_000
+    return load_peak / kept, (render_peak - before) / len(text)
+
+
+def test_load_and_render_peaks_follow_the_distinct_values():
+    """20 000 rows of four columns with at most seven values each. Holding
+    one text per cell until conversion, LOAD peaked at 3.5 times what it
+    kept; it now peaks at 2.1 times. Formatting and padding every cell on
+    its own, the grid peaked at 6.9 times its text; it now peaks at 4.3
+    times (CPython 3.11). Each bound sits about halfway between."""
+    load, grid = peak_ratios(few_valued_csv(20_000))
+    assert load < 2.8
+    assert grid < 5.6
+
+
+def test_distinct_valued_columns_are_not_shared():
+    """20 000 rows of eight columns with no repeated cell. Sharing their
+    texts only adds dicts: LOAD peaked at 1.74 times what it kept where it
+    held a dict of texts for every column at once, and the grid at 10.1
+    times its text where it built two dicts and a padded text for every
+    cell. Taking them cell by cell, both peak as before sharing, at 1.45
+    and 6.0 times (CPython 3.11). Each bound sits about halfway between."""
+    load, grid = peak_ratios(distinct_valued_csv(20_000))
+    assert load < 1.6
+    assert grid < 8
 
 
 # --- load_csv equals the row-wise reference ---------------------------------------
