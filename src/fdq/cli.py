@@ -93,10 +93,11 @@ class Session:
 def render(table: ResultTable, mode: str = "table") -> str:
     """Deterministic text for a result table in one of the three modes.
 
-    Every mode takes its texts from `_column_texts`, and each per-text
-    step (padding, csv quoting, labels) runs once per distinct text of a
-    column whose texts repeat, so the work follows the distinct values,
-    not the cells."""
+    Every mode takes its texts from `_column_texts`, which formats each
+    distinct cell object once where a column's objects repeat, and each
+    per-text step (padding, csv quoting, labels) runs once per distinct
+    text of a column whose texts repeat, so the work follows the distinct
+    values, not the cells."""
     if mode == "csv":
         return _render_csv(table)
     if mode == "records":
@@ -128,22 +129,20 @@ def _once_each(function: Callable, items: Sequence, *args) -> Iterator:
     return map(dict(zip(distinct, results)).__getitem__, items)
 
 
-# exactly the cell types whose equal values print alike; a bool would
-# merge with 1 or 0 as a dict key
-_ONE_TEXT_PER_VALUE = {int, str, type(None)}
-
-
 def _cell_texts(column: tuple) -> list[str]:
     """The text of each cell of a column, by `format_cell`.
 
-    A column of repeated ints, texts or nulls is formatted once per distinct
-    value, and equal cells share one text. Decimal and float columns are
-    formatted cell by cell, since equal values there can print differently:
-    LOAD keeps `1.0` and `1.00`, or `-0` and `0.0`, and an UPDATE's
-    `Decimal(1)` can sit beside a loaded `1.0`. So is a column of mostly
-    distinct cells, where sharing would not pay for its dicts."""
-    if _repeats(column) and set(map(type, column)) <= _ONE_TEXT_PER_VALUE:
-        return list(_once_each(format_cell, column))
+    Cells are told apart by object, not by value: LOAD gives each distinct
+    text of a column one object, and an UPDATE one per statement, so equal
+    values that print differently (`1.0` and `1.00`, `-0` and `0.0`, an
+    UPDATE's `Decimal(1)` beside a loaded `1.0`) are different objects. Where
+    the objects repeat, each is formatted once and its cells share the text;
+    a column of mostly distinct cells, where sharing would not pay for its
+    dicts, is formatted cell by cell."""
+    if _repeats(list(map(id, column[:_PROBE]))):
+        cells = dict(zip(map(id, column), column))
+        texts = dict(zip(cells, map(format_cell, cells.values())))
+        return list(map(texts.__getitem__, map(id, column)))
     text = list(map(str, column))
     # str gives "None" for a null; scanning the texts for it is cheaper
     # than scanning the cells, where Decimal's == against None is slow

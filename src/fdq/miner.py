@@ -310,33 +310,15 @@ def _smallest(node, subsets, level, singles) -> tuple[PLI, PLI]:
 @dataclass(frozen=True)
 class MinefdStatement:
     """Parsed `MINEFD <name> AS SELECT LHS -> RHS [, ERROR] [WHERE ...] FROM
-    <table> [ERROR <bound>]`."""
+    <table> [ERROR <bound>]`: the spec to mine, whose `max_lhs_len` is the
+    tightest upper `LHS LENGTH` bound, and every `LHS LENGTH` atom, which
+    each kept entry must satisfy."""
 
     name: str
     table: str
-    show_error: bool = False
-    lhs_filter: SetExpr | None = None
-    rhs_filter: SetExpr | None = None
-    length_bounds: tuple[tuple[str, int], ...] = ()
-    error_threshold: float = 0.0
-
-    def mining_spec(self) -> MiningSpec:
-        """Fold the parsed filters into a spec; upper length bounds cap the
-        lattice walk, other length operators filter afterwards."""
-        cap = None
-        for op, k in self.length_bounds:
-            limit = k if op in {"<=", "="} else k - 1 if op == "<" else None
-            if limit is not None:
-                cap = limit if cap is None else min(cap, limit)
-        return MiningSpec(
-            lhs_filter=self.lhs_filter,
-            rhs_filter=self.rhs_filter,
-            max_lhs_len=cap,
-            error_threshold=self.error_threshold,
-        )
-
-    def keeps_length(self, size: int) -> bool:
-        return all(LhsLength(op, k).admits(size) for op, k in self.length_bounds)
+    spec: MiningSpec
+    show_error: bool
+    lengths: tuple[LhsLength, ...]
 
 
 @statement_parser
@@ -347,7 +329,8 @@ def parse_minefd(text: str) -> MinefdStatement:
     `, ERROR` inside the SELECT list asks for the error column in the
     rendered output. WHERE takes SELECTDEP's LHS LIKE, RHS LIKE and LHS
     LENGTH atoms, joined by AND only (parentheses allowed); each LIKE side
-    may appear once.
+    may appear once. A cap or bound out of range is a `ParameterError`,
+    raised once the whole statement has parsed.
     """
     ts = TokenStream(text)
     ts.expect_kw("MINEFD")
@@ -364,7 +347,7 @@ def parse_minefd(text: str) -> MinefdStatement:
 
     lhs_filter = None
     rhs_filter = None
-    length_bounds: list[tuple[str, int]] = []
+    lengths: list[LhsLength] = []
     if ts.accept_kw("WHERE"):
         where = ts.peek()
         for node in walk(parse_fdml_condition(ts)):
@@ -384,7 +367,7 @@ def parse_minefd(text: str) -> MinefdStatement:
                     raise ts.error("RHS LIKE given twice", where)
                 rhs_filter = node.expr
             elif isinstance(node, LhsLength):
-                length_bounds.append((node.op, node.length))
+                lengths.append(node)
 
     ts.expect_kw("FROM")
     table = ts.expect_ident("a table name")
@@ -392,15 +375,10 @@ def parse_minefd(text: str) -> MinefdStatement:
     if ts.accept_kw("ERROR"):
         threshold = ts.expect_bound()
     ts.expect_end()
-    return MinefdStatement(
-        name=name,
-        table=table,
-        show_error=show_error,
-        lhs_filter=lhs_filter,
-        rhs_filter=rhs_filter,
-        length_bounds=tuple(length_bounds),
-        error_threshold=threshold,
-    )
+    # the upper length bounds cap the lattice walk, < k at k - 1
+    caps = [n.length - (n.op == "<") for n in lengths if n.op in {"<", "<=", "="}]
+    spec = MiningSpec(lhs_filter, rhs_filter, min(caps, default=None), threshold)
+    return MinefdStatement(name, table, spec, show_error, tuple(lengths))
 
 
 def execute_minefd(
@@ -410,15 +388,17 @@ def execute_minefd(
     workers: int = 1,
     mined_at: str = "",
 ) -> FDSet:
-    """Mine per the statement and apply any non-cap length constraints."""
+    """Mine the statement's spec and keep the entries that every one of its
+    `LHS LENGTH` atoms admits."""
     mined = mine_fds(
         relation,
-        statement.mining_spec(),
+        statement.spec,
         name=statement.name,
         mined_at=mined_at,
         workers=workers,
     )
-    if all(op in {"<=", "<"} for op, _ in statement.length_bounds):
-        return mined
-    kept = tuple(e for e in mined.entries if statement.keeps_length(len(e.lhs)))
+    kept = tuple(
+        e for e in mined.entries
+        if all(atom.admits(len(e.lhs)) for atom in statement.lengths)
+    )
     return replace(mined, entries=kept)

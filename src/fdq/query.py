@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from operator import itemgetter
 from typing import Sequence, Union
 
@@ -41,6 +41,9 @@ from .result import ResultTable
 from .tokens import Token, TokenStream, is_kw, statement_parser
 
 DEFAULT_VIOLATION_THRESHOLD = 0.75
+# relative differences of decimals: 40 digits before the one rounding to a
+# float, over the decimal module's whole exponent range
+_RELATIVE = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 @dataclass(frozen=True)
 class FdPredicate:
@@ -129,8 +132,21 @@ def _parse_name_list(ts: TokenStream) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _parse_fd_body(ts: TokenStream, allow_on: bool, allow_error: bool, op: str):
-    """Common tail of HOLDS/NOT HOLDS/VIOLATES: (lhs -> rhs [ON c] [, ERROR op r])."""
+def _parse_error_bound(ts: TokenStream, op: str | None) -> float | None:
+    """An optional `, ERROR <op> r` clause: its bound, or None without one.
+    With `op` None the clause is refused."""
+    if not ts.accept_punct(","):
+        return None
+    if op is None:
+        raise ts.error("this predicate does not take an ERROR bound")
+    ts.expect_kw("ERROR")
+    ts.expect_punct(op)
+    return ts.expect_bound()
+
+
+def _parse_fd_body(ts: TokenStream, allow_on: bool, op: str | None):
+    """Common tail of HOLDS/NOT HOLDS/VIOLATES: (lhs -> rhs [ON c] [, ERROR op r]);
+    `op` is None for NOT HOLDS, which takes no bound."""
     ts.expect_punct("(")
     lhs = _parse_name_list(ts)
     ts.expect_punct("->")
@@ -145,18 +161,9 @@ def _parse_fd_body(ts: TokenStream, allow_on: bool, allow_error: bool, op: str):
         rhs.append(ts.advance().value)
     rhs = tuple(rhs)
     on = None
-    error = None
     if allow_on and ts.accept_kw("ON"):
         on = parse_row_condition(ts)
-    if ts.accept_punct(","):
-        if not allow_error:
-            raise ts.error("this predicate does not take an ERROR bound")
-        ts.expect_kw("ERROR")
-        if op == "<=":
-            ts.expect_punct("<=")
-        else:
-            ts.expect_punct("=")
-        error = ts.expect_bound()
+    error = _parse_error_bound(ts, op)
     ts.expect_punct(")")
     return lhs, rhs, on, error
 
@@ -180,19 +187,19 @@ def _parse_where_item(ts: TokenStream):
         if is_kw(nxt, "HOLDS"):
             ts.advance()
             ts.advance()
-            lhs, rhs, on, _ = _parse_fd_body(ts, allow_on=True, allow_error=False, op="=")
+            lhs, rhs, on, _ = _parse_fd_body(ts, allow_on=True, op=None)
             return _fan_out("not_holds", lhs, rhs, on, None)
         ts.advance()
         inner = parse_operand(ts, _parse_where_item)
         return _negate_where(ts, tok, inner)
     if is_kw(tok, "HOLDS"):
         ts.advance()
-        lhs, rhs, on, error = _parse_fd_body(ts, allow_on=True, allow_error=True, op="=")
+        lhs, rhs, on, error = _parse_fd_body(ts, allow_on=True, op="=")
         return _fan_out("holds", lhs, rhs, on, error)
     if tok.kind == "string" and is_kw(ts.peek(1), "VIOLATES"):
         suspect = ts.advance().value
         ts.advance()
-        lhs, rhs, _, error = _parse_fd_body(ts, allow_on=False, allow_error=True, op="<=")
+        lhs, rhs, _, error = _parse_fd_body(ts, allow_on=False, op="<=")
         if suspect not in lhs:
             raise ts.error(f"suspect {suspect!r} must be part of the determinant")
         return _fan_out("violates", lhs, rhs, None, error, suspect=suspect)
@@ -246,11 +253,7 @@ def parse_extended_select(text: str) -> ExtendedSelect:
         ts.expect_punct("[")
         attrs = _parse_name_list(ts)
         ts.expect_punct("]")
-        error = None
-        if ts.accept_punct(","):
-            ts.expect_kw("ERROR")
-            ts.expect_punct("=")
-            error = ts.expect_bound()
+        error = _parse_error_bound(ts, "=")
         ts.expect_punct(")")
         projection = DependentProjection(attrs, error)
     else:
@@ -429,9 +432,9 @@ def value_distance(
     """
     if a is None or b is None:
         raise ContractError("distance over null is undefined")
+    if a == b:
+        return 0.0
     if kind == "text":
-        if a == b:
-            return 0.0
         m = max(len(a), len(b), 1)
         # a bound of 1 or more admits every distance, so k is m, the largest
         # one; that also keeps threshold * m from overflowing
@@ -443,11 +446,21 @@ def value_distance(
             # dropped and one added, so more differences need more edits
             return (k + 1) / m
         return _levenshtein(a, b, k) / m
-    fa, fb = float(a), float(b)
-    if fa == fb:
-        return 0.0
-    # values of opposite sign differ by more than the larger magnitude
-    return min(1.0, abs(fa - fb) / max(abs(fa), abs(fb)))
+    if isinstance(a, int) and isinstance(b, int):
+        # int true division rounds once, at any size
+        return min(1.0, abs(a - b) / max(abs(a), abs(b)))
+    a, b = Decimal(a), Decimal(b)
+    # a zero, or values of opposite sign, differ by the larger magnitude or more
+    if not a or not b or (a < 0) != (b < 0):
+        return 1.0
+    # LOAD takes exponents past the range of any context of bounded
+    # precision, so both values are first scaled to put the larger magnitude
+    # in [1, 10); a smaller one that then flushes to 0 was less than
+    # 10**-(10**18) times the larger, where the float result is 1.0 anyway
+    shift = -max(a.adjusted(), b.adjusted())
+    a, b = _RELATIVE.scaleb(a, shift), _RELATIVE.scaleb(b, shift)
+    larger = _RELATIVE.max(_RELATIVE.abs(a), _RELATIVE.abs(b))
+    return float(_RELATIVE.divide(_RELATIVE.abs(_RELATIVE.subtract(a, b)), larger))
 
 
 def eval_violates(

@@ -38,6 +38,7 @@ import hashlib
 import operator
 import os
 import re
+from array import array
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from functools import cached_property
@@ -274,7 +275,7 @@ _CONVERTERS = {INTEGER: int, DECIMAL: Decimal}
 
 
 def _out_of_range(
-    column: Sequence[str], name: str, kind: str, lines: list[int], null_token: str
+    column: Sequence[str], name: str, kind: str, lines: Sequence[int], null_token: str
 ) -> IngestError:
     """The error for the first cell of `column` that matches `kind` but that
     its converter rejects: an integer of more digits than `int()` converts,
@@ -308,7 +309,7 @@ def _transpose(
     chunk: list[list[str]],
     columns: list[list[str]],
     seen: list[dict[str, str] | None],
-    lines: list[int],
+    lines: Sequence[int],
 ) -> str:
     """Append each record of the chunk to the column lists, field by field,
     or return the error for the chunk's first record of another arity, in
@@ -380,7 +381,7 @@ def load_csv(
     header: list[str] | None = None
     columns: list[list[str]] = []
     seen: list[dict[str, str] | None] = []  # per column, its distinct texts
-    data_lines: list[int] = []
+    data_lines = array("q")  # each record's line, to name it in an error
     chunk: list[list[str]] = []
     ragged = ""  # the error for the first record of another arity
     try:

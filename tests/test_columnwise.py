@@ -15,6 +15,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fdq.cli
 from fdq.cli import Session, render, run_command
 from fdq.errors import FdqError, IngestError, KindMismatchError, SchemaError
 from fdq.query import execute, parse_extended_select
@@ -344,6 +345,31 @@ def test_equal_decimals_keep_their_own_texts(tmp_path):
         "5 | 1\n"
         "(5 rows)"
     )
+
+
+def test_repeated_decimals_share_their_texts(tmp_path, monkeypatch):
+    """LOAD gives each distinct text of a column one object, so a decimal
+    column that repeats five texts over 2 000 rows is formatted five times,
+    and `1.0` beside `1.00`, `-0` beside `0.0` still print as read."""
+    texts = ["1.0", "1.00", "-0", "0.0", "2.5"]
+    (tmp_path / "d.csv").write_text(
+        "D\n" + "".join(f"{texts[i % 5]}\n" for i in range(2000))
+    )
+    session = Session(data_dir=str(tmp_path))
+    session, _ = run_command(session, "LOAD 'd.csv' AS T")
+    table = ResultTable(("D",), session.relations["T"].rows)
+    formatted = []
+    real_format_cell = fdq.cli.format_cell
+
+    def format_cell(value):
+        formatted.append(value)
+        return real_format_cell(value)
+
+    monkeypatch.setattr(fdq.cli, "format_cell", format_cell)
+    for mode in ("table", "csv", "records"):
+        del formatted[:]
+        assert render(table, mode) == ROWWISE_RENDER[mode](table)
+        assert [str(value) for value in formatted] == texts
 
 
 # --- memory follows the distinct values, not the cells -----------------------------

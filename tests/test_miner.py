@@ -8,7 +8,7 @@ from work import MiningWork, value_id_builds
 import fdq.miner
 from fdq.cfd import CFD, PatternTableau, cfd_confidence, cfd_support
 from fdq.errors import ContractError, NameResolutionError, ParameterError, ParseError
-from fdq.fdstore import FDEntry
+from fdq.fdstore import FDEntry, LhsLength
 from fdq.miner import MiningSpec, execute_minefd, mine_fds, parse_minefd
 from fdq.partition import build_pli, value_ids
 from fdq.relation import Relation, load_csv
@@ -422,7 +422,7 @@ class TestMinefdStatement:
         assert stmt.name == "fs"
         assert stmt.table == "IOWA"
         assert not stmt.show_error
-        assert stmt.error_threshold == 0.0
+        assert stmt.spec.error_threshold == 0.0
 
     def test_error_column_flag(self):
         stmt = parse_minefd("MINEFD fs AS SELECT LHS -> RHS, ERROR FROM IOWA")
@@ -430,17 +430,17 @@ class TestMinefdStatement:
 
     def test_trailing_error_is_threshold(self):
         stmt = parse_minefd("MINEFD fs AS SELECT LHS -> RHS FROM IOWA ERROR 0.05")
-        assert stmt.error_threshold == 0.05
+        assert stmt.spec.error_threshold == 0.05
 
     def test_filters(self):
         stmt = parse_minefd(
             'MINEFD fs AS SELECT LHS -> RHS WHERE LHS LIKE {"Address", "Zip"} '
             'AND RHS LIKE {"Sale"} AND LHS LENGTH <= 2 FROM IOWA'
         )
-        assert stmt.lhs_filter == GlobList(("Address", "Zip"))
-        assert stmt.rhs_filter == GlobList(("Sale",))
-        assert stmt.length_bounds == (("<=", 2),)
-        assert stmt.mining_spec().max_lhs_len == 2
+        assert stmt.spec.lhs_filter == GlobList(("Address", "Zip"))
+        assert stmt.spec.rhs_filter == GlobList(("Sale",))
+        assert stmt.lengths == (LhsLength("<=", 2),)
+        assert stmt.spec.max_lhs_len == 2
 
     @pytest.mark.parametrize(
         "where",
@@ -489,3 +489,26 @@ class TestMinefdStatement:
         mined = execute_minefd(stmt, iowa)
         assert mined.entries
         assert all(len(e.lhs) >= 2 for e in mined.entries)
+
+    @pytest.mark.parametrize(
+        "where, cap, keep",
+        [
+            ("LHS LENGTH < 2", 1, lambda n: n < 2),
+            ("LHS LENGTH <= 2", 2, lambda n: n <= 2),
+            ("LHS LENGTH = 2", 2, lambda n: n == 2),
+            ("LHS LENGTH != 1", None, lambda n: n != 1),
+            ("LHS LENGTH > 1", None, lambda n: n > 1),
+            ("LHS LENGTH >= 2", None, lambda n: n >= 2),
+            ("LHS LENGTH <= 3 AND LHS LENGTH <= 1", 1, lambda n: n <= 1),
+            ("LHS LENGTH < 3 AND LHS LENGTH >= 2", 2, lambda n: n == 2),
+        ],
+        ids=["lt", "le", "eq", "ne", "gt", "ge", "le-and-le", "lt-and-ge"],
+    )
+    def test_every_length_operator(self, iowa, where, cap, keep):
+        # the tightest upper bound caps the walk; every atom filters after it
+        stmt = parse_minefd(f"MINEFD fs AS SELECT LHS -> RHS WHERE {where} FROM IOWA")
+        assert stmt.spec.max_lhs_len == cap
+        fresh = Relation(iowa.name, iowa.schema, iowa.rows)
+        expected = tuple(e for e in mine_fds(fresh).entries if keep(len(e.lhs)))
+        assert expected
+        assert execute_minefd(stmt, iowa).entries == expected

@@ -1126,7 +1126,7 @@ def test_kept_scores_mine_like_a_fresh_snapshot(case, stage_rows):
             run_command(session, statement)
             if statement.startswith("MINEFD"):
                 parsed = parse_minefd(statement)
-                spec = parsed.mining_spec()
+                spec = parsed.spec
                 now = session.relations["T"]
                 fresh = Relation(now.name, now.schema, now.rows)
                 assert (

@@ -26,7 +26,7 @@ from fdq.query import (
     select_to_text,
     value_distance,
 )
-from fdq.relation import And, Comparison, Not, Or, Relation
+from fdq.relation import And, Comparison, Not, Or, Relation, load_csv
 
 # The fixture's on-scope workhorse: restrict to large bottles in the bourbon
 # category or carrying the scotch label, then ask whether category and volume
@@ -441,6 +441,53 @@ class TestValueDistance:
     def test_null_is_rejected(self):
         with pytest.raises(ContractError):
             value_distance(None, "x", "text")
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (10**400, 3 * 10**400, 2 / 3),
+            (-(10**400), 10**400, 1.0),
+            (Decimal("1E+400"), Decimal("2E+400"), 0.5),
+            (Decimal("1E-400"), Decimal("2E-400"), 0.5),
+            # the top and the bottom of what LOAD accepts
+            (Decimal("1E+999999999999999999"), Decimal("4E+999999999999999999"), 0.75),
+            (Decimal("9E+999999999999999999"), Decimal("-9E+999999999999999999"), 1.0),
+            (Decimal("1E-1999999999999999997"), Decimal("2E-1999999999999999997"), 0.5),
+            (Decimal("1E+999999999999999999"), Decimal("1E-1999999999999999997"), 1.0),
+            (Decimal("0E+999999999999999999"), Decimal("1E-1999999999999999997"), 1.0),
+        ],
+        ids=[
+            "int-huge", "int-opposite", "dec-huge", "dec-tiny", "dec-top",
+            "dec-top-opposite", "dec-bottom", "dec-top-and-bottom", "dec-zero",
+        ],
+    )
+    def test_numbers_past_the_float_range(self, a, b, expected):
+        # float() raised OverflowError on such ints, and read both decimal
+        # pairs as equal: inf and inf, 0.0 and 0.0
+        kind = "integer" if isinstance(a, int) else "decimal"
+        assert value_distance(a, b, kind) == expected
+        assert value_distance(b, a, kind) == expected
+
+
+class TestViolatesPastTheFloatRange:
+    STATEMENT = 'SELECT "V" FROM T WHERE "V" VIOLATES ("V" -> "R", ERROR <= {})'
+
+    def violating(self, values, bound):
+        rows = "".join(f"a,{v},1\n" for v in values)
+        relation = load_csv(f"K,V,R\n{rows}".encode(), name="T")
+        found = execute(parse_extended_select(self.STATEMENT.format(bound)), relation)
+        return [str(v) for (v,) in found.rows]
+
+    def test_integers_past_the_float_range_are_no_internal_error(self):
+        # float() raised OverflowError: int too large to convert to float
+        huge = [str(10**400), str(10**400 + 1)]
+        assert self.violating(huge, 0.5) == huge
+
+    @pytest.mark.parametrize("values", [["1E+400", "2E+400"], ["1E-400", "2E-400"]])
+    def test_decimals_past_the_float_range_keep_their_distance(self, values):
+        # float() made them inf and inf, or 0.0 and 0.0, which read as equal
+        assert self.violating(values, 0.1) == []
+        assert self.violating(values, 0.5) == values
 
 
 class TestEvalViolates:
