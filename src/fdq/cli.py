@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
 from itertools import repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable
 
 from .errors import (
     FdqError,
@@ -44,9 +44,17 @@ from .query import (
     select_to_text,
     _fd_predicate_to_text,
 )
-from .relation import Relation, Value, eval_row_predicate, load_csv, walk
+from .relation import (
+    DECIMAL,
+    Relation,
+    Value,
+    eval_row_predicate,
+    holds_kind,
+    load_csv,
+    walk,
+)
 from .result import ResultTable, format_cell
-from .tokens import TokenStream, statement_parser
+from .tokens import COMMENT, STRING, TokenStream, statement_parser
 
 OUTPUT_MODES = ("table", "csv", "records")
 
@@ -93,11 +101,11 @@ class Session:
 def render(table: ResultTable, mode: str = "table") -> str:
     """Deterministic text for a result table in one of the three modes.
 
-    Every mode takes its texts from `_column_texts`, which formats each
-    distinct cell object once where a column's objects repeat, and each
-    per-text step (padding, csv quoting, labels) runs once per distinct
-    text of a column whose texts repeat, so the work follows the distinct
-    values, not the cells."""
+    Every mode takes its texts from `_column_texts`, which decides once per
+    column whether its cells share texts. Where a column's cell objects
+    repeat, each distinct one is formatted and finished (csv quoting, a
+    record's label) once, so that work follows the distinct values, not
+    the cells; the grid pads cell by cell."""
     if mode == "csv":
         return _render_csv(table)
     if mode == "records":
@@ -107,52 +115,42 @@ def render(table: ResultTable, mode: str = "table") -> str:
     raise ValueError(f"unknown output mode {mode!r}")
 
 
-# items looked at to tell whether a column repeats its values
+# cells looked at to tell whether a column repeats its objects
 _PROBE = 1024
 
 
-def _repeats(items: Sequence) -> bool:
-    """Whether at most half of the first `_PROBE` items are distinct. Only
-    then do one result per distinct item and the two dicts that share it
-    cost less than a result per item."""
-    probe = items[:_PROBE]
-    return 2 * len(set(probe)) <= len(probe)
-
-
-def _once_each(function: Callable, items: Sequence, *args) -> Iterator:
-    """`function(item, *args)` of each item, called once per distinct item
-    where the items repeat."""
-    if not _repeats(items):
-        return map(function, items, *map(repeat, args))
-    distinct = dict.fromkeys(items)
-    results = map(function, distinct, *map(repeat, args))
-    return map(dict(zip(distinct, results)).__getitem__, items)
-
-
-def _cell_texts(column: tuple) -> list[str]:
-    """The text of each cell of a column, by `format_cell`.
+def _cell_texts(column: tuple, finish: Callable[[str], str] | None = None):
+    """The text of each cell of a column, by `format_cell`, then `finish`
+    if given: a list without `finish`, else an iterable.
 
     Cells are told apart by object, not by value: LOAD gives each distinct
     text of a column one object, and an UPDATE one per statement, so equal
     values that print differently (`1.0` and `1.00`, `-0` and `0.0`, an
-    UPDATE's `Decimal(1)` beside a loaded `1.0`) are different objects. Where
-    the objects repeat, each is formatted once and its cells share the text;
-    a column of mostly distinct cells, where sharing would not pay for its
-    dicts, is formatted cell by cell."""
-    if _repeats(list(map(id, column[:_PROBE]))):
+    UPDATE's `Decimal(1)` beside a loaded `1.0`) are different objects.
+    Where at most half of the first `_PROBE` objects are distinct, each
+    object is formatted and finished once, into one dict its cells share; a
+    column of mostly distinct cells, where the dict would not pay for
+    itself, is formatted cell by cell and finished lazily."""
+    probe = list(map(id, column[:_PROBE]))
+    if 2 * len(set(probe)) <= len(probe):
         cells = dict(zip(map(id, column), column))
-        texts = dict(zip(cells, map(format_cell, cells.values())))
+        texts = map(format_cell, cells.values())
+        texts = dict(zip(cells, texts if finish is None else map(finish, texts)))
         return list(map(texts.__getitem__, map(id, column)))
     text = list(map(str, column))
     # str gives "None" for a null; scanning the texts for it is cheaper
     # than scanning the cells, where Decimal's == against None is slow
-    return list(map(format_cell, column)) if "None" in text else text
+    if "None" in text:
+        text = list(map(format_cell, column))
+    return text if finish is None else map(finish, text)
 
 
-def _column_texts(table: ResultTable) -> list[list[str]]:
-    """The texts of every cell, one list per column."""
-    texts = [_cell_texts(column) for column in zip(*table.rows)]
-    return texts or [[] for _ in table.columns]
+def _column_texts(table: ResultTable, finishes: Iterable | None = None) -> list:
+    """The texts of every cell, one sequence per column, each column's
+    finished by its item of `finishes` if given."""
+    columns = zip(*table.rows)
+    args = (columns,) if finishes is None else (columns, finishes)
+    return list(map(_cell_texts, *args)) or [[] for _ in table.columns]
 
 
 def _text_rows(columns: list, count: int):
@@ -168,7 +166,7 @@ def _render_grid(table: ResultTable) -> str:
     ]
     # every line is stripped on the right, so the last column needs no padding
     padded = [
-        _once_each(str.ljust, column, w) for column, w in zip(texts, widths[:-1])
+        map(str.ljust, column, repeat(w)) for column, w in zip(texts, widths[:-1])
     ]
     n = len(table.rows)
     header = [name.ljust(w) for name, w in zip(table.columns, widths)]
@@ -185,7 +183,7 @@ def _csv_field(text: str) -> str:
 
 
 def _render_csv(table: ResultTable) -> str:
-    fields = [_once_each(_csv_field, column) for column in _column_texts(table)]
+    fields = _column_texts(table, repeat(_csv_field))
     lines = [",".join(map(_csv_field, table.columns))]
     lines += map(",".join, _text_rows(fields, len(table.rows)))
     return "\r\n".join(lines)
@@ -195,23 +193,28 @@ def _render_records(table: ResultTable) -> str:
     if not table.rows:
         return "(0 rows)"
     width = max(map(len, table.columns), default=0)
-    labelled = [
-        _once_each(f"{name.ljust(width)}: ".__add__, column)
-        for name, column in zip(table.columns, _column_texts(table))
-    ]
+    labels = [f"{name.ljust(width)}: ".__add__ for name in table.columns]
+    labelled = _column_texts(table, labels)
     return "\n\n".join(map("\n".join, _text_rows(labelled, len(table.rows))))
 
 
 # --- statement splitting ----------------------------------------------------------
 
+# one piece of a line: a string (an unclosed quote runs to the end of the
+# line), a comment, a semicolon, or a run of anything else
+_PIECE_RE = re.compile(rf"""{STRING}|["'].*|{COMMENT}|;|[^"';-]+|-""")
+
+
 def read_statements(text: str) -> tuple[list[str], str]:
     """Cut text into the statements it completes and the unterminated rest.
 
-    Semicolons end statements outside quotes; `--` starts a comment
-    outside quotes; a line whose first non-blank character is a backslash
-    is a statement of its own. The rest keeps its line breaks, without
-    comments, so appending more lines and reading again continues it; it
-    is empty when only blanks and comments follow the last statement.
+    Each line is cut into pieces by the tokenizer's rules for strings and
+    comments: semicolons end statements outside quotes; `--` starts a
+    comment outside quotes; a quote left open runs to the end of its line;
+    a line whose first non-blank character is a backslash is a statement of
+    its own. The rest keeps its line breaks, without comments, so appending
+    more lines and reading again continues it; it is empty when only blanks
+    and comments follow the last statement.
     """
     statements: list[str] = []
     buf: list[str] = []
@@ -228,22 +231,11 @@ def read_statements(text: str) -> tuple[list[str], str]:
             flush()
             statements.append(stripped)
             continue
-        i, n = 0, len(line)
-        while i < n:
-            ch = line[i]
-            if ch in "'\"":
-                end = line.find(ch, i + 1)
-                end = n - 1 if end == -1 else end
-                buf.append(line[i : end + 1])
-                i = end + 1
-            elif ch == "-" and line.startswith("--", i):
-                break
-            elif ch == ";":
+        for piece in _PIECE_RE.findall(line):
+            if piece == ";":
                 flush()
-                i += 1
-            else:
-                buf.append(ch)
-                i += 1
+            elif not piece.startswith("--"):
+                buf.append(piece)
         buf.append("\n")
     rest = "".join(buf)
     return statements, rest if rest.strip() else ""
@@ -403,19 +395,11 @@ def _run_import(session: Session, line: str) -> str:
 
 
 def _coerce_for(kind: str, value: Value, attr: str) -> Value:
-    if value is None:
-        return None
-    if kind == "text":
-        if isinstance(value, str):
-            return value
-    elif kind == "integer":
-        if isinstance(value, int):
-            return value
-    elif kind == "decimal":
-        if isinstance(value, Decimal):
-            return value
-        if isinstance(value, int):
-            return Decimal(value)
+    """`value` as a cell of a `kind` column: an int widens to a decimal."""
+    if kind == DECIMAL and type(value) is int:
+        value = Decimal(value)
+    if holds_kind(kind, value):
+        return value
     raise KindMismatchError(f"{attr!r} holds {kind} values, not {value!r}")
 
 

@@ -12,10 +12,12 @@ approximate HOLDS and DEPENDENT test from `partition.error_measure`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import compress
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
+from decimal import Decimal
 from operator import itemgetter
 from typing import Sequence, Union
 
@@ -23,6 +25,7 @@ from .errors import ContractError, ParameterError, ParseError
 from .partition import error_measure, partition_of, value_ids, violating_rows
 from .relation import (
     COMPARISON_OPS,
+    EXACT,
     And,
     Comparison,
     Not,
@@ -41,9 +44,6 @@ from .result import ResultTable
 from .tokens import Token, TokenStream, is_kw, statement_parser
 
 DEFAULT_VIOLATION_THRESHOLD = 0.75
-# relative differences of decimals: 40 digits before the one rounding to a
-# float, over the decimal module's whole exponent range
-_RELATIVE = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 @dataclass(frozen=True)
 class FdPredicate:
@@ -423,7 +423,8 @@ def value_distance(
     a: Value, b: Value, kind: str, threshold: float | None = None
 ) -> float:
     """Normalized distance in [0, 1]: edit distance for text, relative
-    difference for numbers, capped at 1.
+    difference for numbers, capped at 1. A number's distance is exact until
+    one rounding to a float, so distinct numbers never read as 0.
 
     With a threshold, a text distance is exact up to k = floor(threshold *
     m) + 1 edits, m the longer length; past k the result is a lower bound
@@ -446,21 +447,17 @@ def value_distance(
             # dropped and one added, so more differences need more edits
             return (k + 1) / m
         return _levenshtein(a, b, k) / m
-    if isinstance(a, int) and isinstance(b, int):
-        # int true division rounds once, at any size
-        return min(1.0, abs(a - b) / max(abs(a), abs(b)))
+    # one path for ints and decimals: Decimal holds an int of any size. A
+    # zero or opposite signs differ by the larger magnitude or more, and
+    # magnitudes over 17 decades apart by 1 - 1e-17 or more, which rounds to 1
     a, b = Decimal(a), Decimal(b)
-    # a zero, or values of opposite sign, differ by the larger magnitude or more
-    if not a or not b or (a < 0) != (b < 0):
+    if not a or not b or (a < 0) != (b < 0) or abs(a.adjusted() - b.adjusted()) > 17:
         return 1.0
-    # LOAD takes exponents past the range of any context of bounded
-    # precision, so both values are first scaled to put the larger magnitude
-    # in [1, 10); a smaller one that then flushes to 0 was less than
-    # 10**-(10**18) times the larger, where the float result is 1.0 anyway
+    # LOAD takes exponents past what a Fraction can hold, so both values are
+    # first scaled, exactly, to put the larger magnitude in [1, 10)
     shift = -max(a.adjusted(), b.adjusted())
-    a, b = _RELATIVE.scaleb(a, shift), _RELATIVE.scaleb(b, shift)
-    larger = _RELATIVE.max(_RELATIVE.abs(a), _RELATIVE.abs(b))
-    return float(_RELATIVE.divide(_RELATIVE.abs(_RELATIVE.subtract(a, b)), larger))
+    a, b = Fraction(EXACT.scaleb(a, shift)), Fraction(EXACT.scaleb(b, shift))
+    return float(abs(a - b) / max(abs(a), abs(b))) or math.ulp(0.0)
 
 
 def eval_violates(

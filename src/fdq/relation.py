@@ -51,17 +51,26 @@ from .errors import (
     NameResolutionError,
     SchemaError,
 )
-from .tokens import TokenStream
+from .tokens import NUMBER, TokenStream
 
 Value = Union[int, Decimal, str, None]
 
 INTEGER = "integer"
 DECIMAL = "decimal"
 TEXT = "text"
-KINDS = (INTEGER, DECIMAL, TEXT)
+# the Python type of each kind's cells
+KIND_TYPES = {INTEGER: int, DECIMAL: Decimal, TEXT: str}
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
-_DEC_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
+_DEC_RE = re.compile(rf"[+-]?{NUMBER}\Z")
+
+
+def holds_kind(kind: str, cell: Value) -> bool:
+    """Whether a column of `kind` holds `cell`: a null, or a value of the
+    kind's type that is not a bool (which is an int)."""
+    return cell is None or (
+        isinstance(cell, KIND_TYPES[kind]) and not isinstance(cell, bool)
+    )
 
 
 @dataclass(frozen=True)
@@ -119,7 +128,7 @@ class Relation:
         )
         seen = set()
         for meta in metas:
-            if meta.kind not in KINDS:
+            if meta.kind not in KIND_TYPES:
                 raise SchemaError(f"unknown kind {meta.kind!r} for {meta.name!r}")
             if meta.name in seen:
                 raise SchemaError(f"duplicate attribute name {meta.name!r}")
@@ -132,16 +141,9 @@ class Relation:
                     f"row {rowno}: expected {len(metas)} cells, got {len(row)}"
                 )
             for meta, cell in zip(metas, row):
-                if cell is None:
-                    continue
-                if meta.kind == INTEGER and not (
-                    isinstance(cell, int) and not isinstance(cell, bool)
-                ):
-                    raise SchemaError(f"row {rowno}: {meta.name!r} expects int")
-                if meta.kind == DECIMAL and not isinstance(cell, Decimal):
-                    raise SchemaError(f"row {rowno}: {meta.name!r} expects Decimal")
-                if meta.kind == TEXT and not isinstance(cell, str):
-                    raise SchemaError(f"row {rowno}: {meta.name!r} expects str")
+                if not holds_kind(meta.kind, cell):
+                    expected = KIND_TYPES[meta.kind].__name__
+                    raise SchemaError(f"row {rowno}: {meta.name!r} expects {expected}")
             checked.append(row)
         return Relation(name, metas, tuple(checked))
 
@@ -200,8 +202,9 @@ class Relation:
 
 # normalize() under the default context rounds to 28 digits, flushes tiny
 # exponents to 0 and overflows past 1E+999999; this one keeps every value
-# exact, and gives a decimal inside the default limits the same text
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# exact, and gives a decimal inside the default limits the same text. It
+# also scales numbers exactly for `query.value_distance`
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _canonical_cell(value: Value) -> bytes:
@@ -221,7 +224,7 @@ def _canonical_cell(value: Value) -> bytes:
         # keeps the sign of a zero, so every zero takes the bytes of 0
         if not value:
             return b"d0"
-        return b"d" + str(value.normalize(_EXACT)).encode()
+        return b"d" + str(value.normalize(EXACT)).encode()
     return b"t" + value.encode("utf-8")
 
 
@@ -271,16 +274,13 @@ def _infer_kind(cells: Collection[str]) -> str:
     return TEXT
 
 
-_CONVERTERS = {INTEGER: int, DECIMAL: Decimal}
-
-
 def _out_of_range(
     column: Sequence[str], name: str, kind: str, lines: Sequence[int], null_token: str
 ) -> IngestError:
     """The error for the first cell of `column` that matches `kind` but that
-    its converter rejects: an integer of more digits than `int()` converts,
-    or a decimal whose exponent is past the decimal module's range."""
-    convert = _CONVERTERS[kind]
+    its type rejects: an integer of more digits than `int()` converts, or a
+    decimal whose exponent is past the decimal module's range."""
+    convert = KIND_TYPES[kind]
     for cell, line in zip(column, lines):
         if cell != null_token:
             try:
@@ -421,7 +421,7 @@ def load_csv(
             distinct = dict.fromkeys(column)
         distinct.pop(null_token, None)
         kind = _infer_kind(distinct)
-        convert = _CONVERTERS.get(kind, str)  # str() of a str is that str
+        convert = KIND_TYPES[kind]  # str() of a str is that str
         try:
             values = dict(zip(distinct, map(convert, distinct)))
         except (ValueError, InvalidOperation):

@@ -1,10 +1,13 @@
-"""Tokenizer shared by the statement grammars.
+"""Tokenizer shared by the statement grammars, and the lexical rules.
 
 One scanner serves the dependency-query language, the extended SELECT
 dialect, and the session statements, so positions and literal rules agree
-everywhere. `--` starts a line comment. Double and single quoted strings
-carry no escape sequences; numbers without a dot or exponent become int,
-everything else Decimal.
+everywhere. `STRING`, `COMMENT` and `NUMBER` are the one spelling of what a
+string, a comment and a number look like: the scanner is built from them,
+the statement reader cuts scripts with the first two, and CSV ingest reads
+a decimal cell as a signed `NUMBER`. `--` starts a line comment. Double and
+single quoted strings carry no escape sequences; numbers without a dot or
+exponent become int, everything else Decimal.
 """
 
 from __future__ import annotations
@@ -17,13 +20,18 @@ from decimal import Decimal, InvalidOperation
 
 from .errors import ParseError
 
+# the lexical rules; they hold no blanks, so verbose patterns read them as is
+STRING = r""""[^"\n]*"|'[^'\n]*'"""
+COMMENT = r"--[^\n]*"
+NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+|--[^\n]*)
-    | (?P<string>"[^"\n]*"|'[^'\n]*')
-    | (?P<number>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
+    rf"""
+      (?P<ws>\s+|{COMMENT})
+    | (?P<string>{STRING})
+    | (?P<number>{NUMBER})
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<punct>->|<=|>=|!=|<>|[(){}\[\],+\-*=<>;\\])
+    | (?P<punct>->|<=|>=|!=|<>|[(){{}}\[\],+\-*=<>;\\])
     """,
     re.VERBOSE,
 )
@@ -114,11 +122,17 @@ class TokenStream:
             return True
         return False
 
+    def _take(self, ok: bool, what: str) -> Token:
+        """The next token, consumed, if `ok`, which the caller tested on
+        it; otherwise the error that `what` was expected there."""
+        tok = self.peek()
+        if not ok:
+            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
+        return self.advance()
+
     def expect_punct(self, text: str) -> Token:
         tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}")
-        return self.advance()
+        return self._take(tok.kind == "punct" and tok.text == text, repr(text))
 
     def accept_kw(self, word: str) -> bool:
         if is_kw(self.peek(), word):
@@ -127,29 +141,16 @@ class TokenStream:
         return False
 
     def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if not is_kw(tok, word):
-            raise self.error(f"expected {word}, found {tok.text or 'end of input'!r}")
-        return self.advance()
+        return self._take(is_kw(self.peek(), word), word)
 
     def expect_ident(self, what: str = "identifier") -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
-        self.advance()
-        return tok.text
+        return self._take(self.peek().kind == "ident", what).text
 
     def expect_string(self, what: str = "quoted name") -> Token:
-        tok = self.peek()
-        if tok.kind != "string":
-            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
-        return self.advance()
+        return self._take(self.peek().kind == "string", what)
 
     def expect_number(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "number":
-            raise self.error(f"expected a number, found {tok.text or 'end of input'!r}")
-        return self.advance()
+        return self._take(self.peek().kind == "number", "a number")
 
     def expect_bound(self) -> float:
         """A number read as a float bound. One past the float range would

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from literals import number_literals
 
+import fdq.cli
 import fdq.partition
 import fdq.relation
 from work import value_id_builds
@@ -24,9 +25,10 @@ from fdq.cli import (
     run_script,
     split_statements,
 )
-from fdq.errors import KindMismatchError, NameResolutionError, ParseError
+from fdq.errors import KindMismatchError, NameResolutionError, ParseError, SchemaError
 from fdq.fdstore import load_fdset
 from fdq.query import execute, parse_extended_select
+from fdq.relation import Relation
 from fdq.result import ResultTable
 from fdq.tokens import tokenize
 
@@ -81,6 +83,37 @@ class TestSplitStatements:
 
     def test_blank_and_comment_only_input(self):
         assert split_statements("  \n-- nothing here\n") == []
+
+
+# pieces of scripts: closed strings holding ";" and "--", comments, ";",
+# identifiers, numbers, punctuation and blanks
+SCRIPT_PIECES = st.sampled_from([
+    "'a;b'", '"c--d"', "';'", '"--"', "''", "'x \"y'",
+    "-- note; 'open\n", "--\n",
+    ";", ";", "LOAD", "x_1", "Zip", "12", "2.5", ".5e-3", "7E2",
+    "(", ")", ",", "=", "<=", "->", "-", "*", "[", "]", "{", "}",
+    " ", " ", "\n", "\t",
+])
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.lists(SCRIPT_PIECES, max_size=30).map("".join))
+def test_statements_tokenize_as_the_whole_script(text):
+    """`split_statements` cuts by the tokenizer's own rules for strings and
+    comments: each statement tokenizes to the tokens between ";" tokens of
+    the whole script, with empty groups dropped."""
+    groups = [[]]
+    for token in tokenize(text)[:-1]:
+        if token.kind == "punct" and token.text == ";":
+            groups.append([])
+        else:
+            groups[-1].append((token.kind, token.text))
+    expected = [group for group in groups if group]
+    got = [
+        [(token.kind, token.text) for token in tokenize(statement)[:-1]]
+        for statement in split_statements(text)
+    ]
+    assert got == expected
 
 
 class TestRender:
@@ -309,6 +342,32 @@ class TestUpdateAndStaleness:
         run(session, "LOAD 'iowa.csv' AS IOWA")
         with pytest.raises(KindMismatchError):
             run(session, 'UPDATE IOWA SET "Pack" = "a dozen"')
+
+    @pytest.mark.parametrize("cell", [1, True, Decimal("1.5"), "x", None], ids=repr)
+    @pytest.mark.parametrize("kind", ["integer", "decimal", "text"])
+    def test_update_and_build_agree_on_kinds(self, kind, cell):
+        """A column takes a cell by UPDATE exactly when `Relation.build`
+        takes it, but for an int in a decimal column, which UPDATE widens."""
+        type_name = {"integer": "int", "decimal": "Decimal", "text": "str"}[kind]
+        try:
+            Relation.build("t", [("a", kind)], [(cell,)])
+            built = True
+        except SchemaError as exc:
+            assert str(exc) == f"row 0: 'a' expects {type_name}"
+            built = False
+        try:
+            value = fdq.cli._coerce_for(kind, cell, "a")
+            updated = True
+        except KindMismatchError as exc:
+            assert str(exc) == f"'a' holds {kind} values, not {cell!r}"
+            updated = False
+        if kind == "decimal" and type(cell) is int:
+            assert (built, updated) == (False, True)
+            assert type(value) is Decimal and value == cell
+        else:
+            assert built == updated
+            if updated:
+                assert value is cell
 
     def test_update_makes_dependent_fdsets_stale(self, data_dir):
         session = fresh_session(data_dir)

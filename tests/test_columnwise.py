@@ -372,6 +372,30 @@ def test_repeated_decimals_share_their_texts(tmp_path, monkeypatch):
         assert [str(value) for value in formatted] == texts
 
 
+def test_csv_and_records_finish_each_distinct_object_once(tmp_path, monkeypatch):
+    """Over the same 2 000 cells of five objects, csv quotes the header and
+    each object's text once, and records label each once, in the dict that
+    shares the texts; both still equal the row-wise references."""
+    texts = ["1.0", "1.00", "-0", "0.0", "2.5"]
+    (tmp_path / "d.csv").write_text(
+        "D\n" + "".join(f"{texts[i % 5]}\n" for i in range(2000))
+    )
+    session = Session(data_dir=str(tmp_path))
+    session, _ = run_command(session, "LOAD 'd.csv' AS T")
+    table = ResultTable(("D",), session.relations["T"].rows)
+    quoted = []
+    real_csv_field = fdq.cli._csv_field
+
+    def csv_field(text):
+        quoted.append(text)
+        return real_csv_field(text)
+
+    monkeypatch.setattr(fdq.cli, "_csv_field", csv_field)
+    assert render(table, "csv") == ROWWISE_RENDER["csv"](table)
+    assert sorted(quoted) == sorted(["D", *texts])
+    assert render(table, "records") == ROWWISE_RENDER["records"](table)
+
+
 # --- memory follows the distinct values, not the cells -----------------------------
 
 CATEGORIES = ["AMERICAN VODKAS", "CANADIAN WHISKIES", "SPICED RUM", "IRISH WHISKIES"]

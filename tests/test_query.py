@@ -468,6 +468,22 @@ class TestValueDistance:
         assert value_distance(a, b, kind) == expected
         assert value_distance(b, a, kind) == expected
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (10**400, 10**400 + 1),
+            (Decimal("1." + "0" * 45 + "1"), Decimal("1." + "0" * 45 + "2")),
+            (Decimal("1E-999999"), Decimal("1." + "0" * 40 + "1E-999999")),
+            (Decimal("9" * 60), Decimal("9" * 59 + "8")),
+            (-(10**400), -(10**400) - 1),
+        ],
+        ids=["int-huge", "dec-46-digits", "dec-tiny", "dec-60-digits", "int-negative"],
+    )
+    def test_distinct_numbers_never_read_zero(self, a, b):
+        kind = "integer" if isinstance(a, int) else "decimal"
+        assert value_distance(a, b, kind) > 0.0
+        assert value_distance(b, a, kind) > 0.0
+
 
 class TestViolatesPastTheFloatRange:
     STATEMENT = 'SELECT "V" FROM T WHERE "V" VIOLATES ("V" -> "R", ERROR <= {})'
@@ -488,6 +504,20 @@ class TestViolatesPastTheFloatRange:
         # float() made them inf and inf, or 0.0 and 0.0, which read as equal
         assert self.violating(values, 0.1) == []
         assert self.violating(values, 0.5) == values
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ["1." + "0" * 45 + "1", "1." + "0" * 45 + "2"],
+            [str(10**400), str(10**400 + 1)],
+        ],
+        ids=["decimals-past-the-40th-digit", "huge-integers"],
+    )
+    def test_distinct_numbers_are_never_at_distance_zero(self, values):
+        # a 40-digit quotient, or int division rounding to a float, read
+        # each pair as distance 0, so both came back at ERROR <= 0
+        assert self.violating(values, 0) == []
+        assert self.violating(values, "1e-45") == values
 
 
 class TestEvalViolates:
