@@ -12,11 +12,13 @@ import argparse
 import os
 import re
 import sys
+import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from decimal import Decimal
+from functools import partial
 from itertools import repeat
-from typing import Callable, Iterable
+from operator import itemgetter, methodcaller
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     FdqError,
@@ -82,7 +84,7 @@ class QuitRequested(Exception):
 
 
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 @dataclass
@@ -103,9 +105,11 @@ def render(table: ResultTable, mode: str = "table") -> str:
 
     Every mode takes its texts from `_column_texts`, which decides once per
     column whether its cells share texts. Where a column's cell objects
-    repeat, each distinct one is formatted and finished (csv quoting, a
-    record's label) once, so that work follows the distinct values, not
-    the cells; the grid pads cell by cell."""
+    repeat, each distinct one is formatted, finished (csv quoting, a
+    record's label, the grid's padding) and kept once, so that work and
+    memory follow the distinct values, not the cells. Lines are built
+    `_BLOCK` rows at a time, and each block's are joined into one string at
+    once, so the peak is about the texts kept plus twice the output."""
     if mode == "csv":
         return _render_csv(table)
     if mode == "records":
@@ -117,61 +121,89 @@ def render(table: ResultTable, mode: str = "table") -> str:
 
 # cells looked at to tell whether a column repeats its objects
 _PROBE = 1024
+# rows whose lines are held apart at once, before they are joined
+_BLOCK = 1024
 
 
-def _cell_texts(column: tuple, finish: Callable[[str], str] | None = None):
-    """The text of each cell of a column, by `format_cell`, then `finish`
-    if given: a list without `finish`, else an iterable.
+def _cell_texts(column: Sequence) -> dict | list:
+    """The text of each cell of a column, by `format_cell`: a dict from
+    each distinct cell object's `id` to its text, or a list of one text per
+    cell.
 
     Cells are told apart by object, not by value: LOAD gives each distinct
     text of a column one object, and an UPDATE one per statement, so equal
     values that print differently (`1.0` and `1.00`, `-0` and `0.0`, an
     UPDATE's `Decimal(1)` beside a loaded `1.0`) are different objects.
     Where at most half of the first `_PROBE` objects are distinct, each
-    object is formatted and finished once, into one dict its cells share; a
-    column of mostly distinct cells, where the dict would not pay for
-    itself, is formatted cell by cell and finished lazily."""
+    object is formatted once, into the dict; a column of mostly distinct
+    cells, where the dict would not pay for itself, is formatted cell by
+    cell, into the list."""
     probe = list(map(id, column[:_PROBE]))
     if 2 * len(set(probe)) <= len(probe):
         cells = dict(zip(map(id, column), column))
-        texts = map(format_cell, cells.values())
-        texts = dict(zip(cells, texts if finish is None else map(finish, texts)))
-        return list(map(texts.__getitem__, map(id, column)))
+        return dict(zip(cells, map(format_cell, cells.values())))
     text = list(map(str, column))
     # str gives "None" for a null; scanning the texts for it is cheaper
     # than scanning the cells, where Decimal's == against None is slow
     if "None" in text:
         text = list(map(format_cell, column))
-    return text if finish is None else map(finish, text)
+    return text
 
 
-def _column_texts(table: ResultTable, finishes: Iterable | None = None) -> list:
-    """The texts of every cell, one sequence per column, each column's
-    finished by its item of `finishes` if given."""
-    columns = zip(*table.rows)
-    args = (columns,) if finishes is None else (columns, finishes)
-    return list(map(_cell_texts, *args)) or [[] for _ in table.columns]
+def _column_texts(table: ResultTable) -> list:
+    """`_cell_texts` of every column, taking the cells of one column at a
+    time."""
+    rows = table.rows
+    return [
+        _cell_texts(list(map(itemgetter(j), rows))) for j in range(len(table.columns))
+    ]
 
 
-def _text_rows(columns: list, count: int):
-    """The rows across per-column sequences; `count` empty rows if no column."""
-    return zip(*columns) if columns else repeat((), count)
+def _blocks(table: ResultTable, texts: list, finishes: Iterable, lines, sep: str):
+    """The rows' lines, `_BLOCK` rows at a time, each block's joined by `sep`
+    into one string. `texts` are the columns' from `_column_texts`, each
+    finished by its item of `finishes` unless that is None: once per object
+    where they are a dict, else per cell as its block is built. `lines`
+    maps rows of finished texts to their lines."""
+    sources = []
+    for source, finish in zip(texts, finishes):
+        if finish is not None and type(source) is dict:
+            source, finish = dict(zip(source, map(finish, source.values()))), None
+        sources.append((source, finish))
+    rows = table.rows
+    blocks = []
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start : start + _BLOCK]
+        columns = []
+        for (source, finish), cells in zip(sources, zip(*block)):
+            if type(source) is dict:
+                columns.append(map(source.__getitem__, map(id, cells)))
+            elif finish is None:
+                columns.append(source[start : start + len(block)])
+            else:
+                columns.append(map(finish, source[start : start + len(block)]))
+        # no column: as many empty rows as the block has
+        text_rows = zip(*columns) if sources else repeat((), len(block))
+        blocks.append(sep.join(lines(text_rows)))
+    return blocks
 
 
 def _render_grid(table: ResultTable) -> str:
     texts = _column_texts(table)
-    widths = [
-        max(len(name), max(map(len, column), default=0))
-        for name, column in zip(table.columns, texts)
-    ]
+    widths = []
+    for name, text in zip(table.columns, texts):
+        shown = text.values() if type(text) is dict else text
+        widths.append(max(len(name), max(map(len, shown), default=0)))
     # every line is stripped on the right, so the last column needs no padding
-    padded = [
-        map(str.ljust, column, repeat(w)) for column, w in zip(texts, widths[:-1])
-    ]
+    pads = [methodcaller("ljust", w) for w in widths[:-1]] + [None]
+    body = _blocks(
+        table, texts, pads, lambda rows: map(str.rstrip, map(" | ".join, rows)), "\n"
+    )
+    del texts  # before the join, which makes a second copy of the output
     n = len(table.rows)
     header = [name.ljust(w) for name, w in zip(table.columns, widths)]
     lines = [" | ".join(header).rstrip(), "-+-".join("-" * w for w in widths)]
-    lines += map(str.rstrip, map(" | ".join, _text_rows(padded + texts[-1:], n)))
+    lines += body
     lines.append(f"({n} row)" if n == 1 else f"({n} rows)")
     return "\n".join(lines)
 
@@ -183,9 +215,10 @@ def _csv_field(text: str) -> str:
 
 
 def _render_csv(table: ResultTable) -> str:
-    fields = _column_texts(table, repeat(_csv_field))
     lines = [",".join(map(_csv_field, table.columns))]
-    lines += map(",".join, _text_rows(fields, len(table.rows)))
+    lines += _blocks(
+        table, _column_texts(table), repeat(_csv_field), partial(map, ",".join), "\r\n"
+    )
     return "\r\n".join(lines)
 
 
@@ -194,8 +227,9 @@ def _render_records(table: ResultTable) -> str:
         return "(0 rows)"
     width = max(map(len, table.columns), default=0)
     labels = [f"{name.ljust(width)}: ".__add__ for name in table.columns]
-    labelled = _column_texts(table, labels)
-    return "\n\n".join(map("\n".join, _text_rows(labelled, len(table.rows))))
+    return "\n\n".join(
+        _blocks(table, _column_texts(table), labels, partial(map, "\n".join), "\n\n")
+    )
 
 
 # --- statement splitting ----------------------------------------------------------
@@ -426,7 +460,7 @@ def _run_update(session: Session, line: str) -> str:
     meta = relation.attribute(attr)
     value = _coerce_for(meta.kind, literal, attr)
     targets = (
-        set(range(relation.row_count))
+        relation.row_numbers
         if condition is None
         else eval_row_predicate(relation, condition)
     )

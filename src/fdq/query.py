@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import compress, filterfalse
 from decimal import Decimal
 from operator import itemgetter
 from typing import Sequence, Union
@@ -357,17 +356,16 @@ def eval_holds(
     lhs_idx = _resolve(relation, lhs)
     rhs_idx = relation.attribute(rhs).index
     scope = _scope_rows(relation, on_condition)
-    rows = set(range(relation.row_count)) if scope is None else scope
+    # the snapshot's row numbers, so the rows kept share their int objects
+    rows = relation.row_numbers if scope is None else scope
     if not rows:
         return set()
     bad = violating_rows(relation, lhs_idx, rhs_idx, scope)
-    if error is None:
-        return rows - bad
-    if not bad:  # also covers a trivial candidate, dependent inside the determinant
-        return rows
-    if error_measure(relation, lhs_idx, [rhs_idx], scope, error)[0] <= error:
-        return rows - bad
-    return set()
+    # no witnesses also covers a trivial candidate, dependent inside the determinant
+    if error is not None and bad:
+        if error_measure(relation, lhs_idx, [rhs_idx], scope, error)[0] > error:
+            return set()
+    return set(filterfalse(bad.__contains__, rows))
 
 
 def eval_not_holds(
@@ -453,11 +451,14 @@ def value_distance(
     a, b = Decimal(a), Decimal(b)
     if not a or not b or (a < 0) != (b < 0) or abs(a.adjusted() - b.adjusted()) > 17:
         return 1.0
-    # LOAD takes exponents past what a Fraction can hold, so both values are
-    # first scaled, exactly, to put the larger magnitude in [1, 10)
+    # LOAD takes exponents past what an int ratio can hold, so both values
+    # are first scaled, exactly, to put the larger magnitude in [1, 10)
     shift = -max(a.adjusted(), b.adjusted())
-    a, b = Fraction(EXACT.scaleb(a, shift)), Fraction(EXACT.scaleb(b, shift))
-    return float(abs(a - b) / max(abs(a), abs(b))) or math.ulp(0.0)
+    pa, qa = EXACT.scaleb(a, shift).as_integer_ratio()
+    pb, qb = EXACT.scaleb(b, shift).as_integer_ratio()
+    # |a - b| / max(|a|, |b|) over the common denominator qa * qb, which
+    # int true division rounds once, to the nearest float
+    return abs(pa * qb - pb * qa) / max(abs(pa) * qb, abs(pb) * qa) or math.ulp(0.0)
 
 
 def eval_violates(
@@ -572,7 +573,7 @@ def execute(ast: ExtendedSelect, relation: Relation) -> ResultTable:
     rows = relation.rows
     if ast.where is not None:
         leaf = partial(_where_leaf_rows, relation)
-        kept = sorted(eval_condition(ast.where, leaf, range(relation.row_count)))
+        kept = sorted(eval_condition(ast.where, leaf, relation.row_numbers))
         rows = tuple(map(rows.__getitem__, kept))
     projection = ast.projection
     if isinstance(projection, StarProjection):

@@ -528,12 +528,16 @@ def condition_to_text(node, leaf_text) -> str:
 def eval_condition(node, leaf, universe: Iterable) -> set:
     """Fold an And/Or/Not tree into a set: `leaf(node)` gives the members
     each leaf admits, And intersects, Or unites, and Not complements within
-    `universe`. Leaf sets are read, never changed. It takes one stack frame
-    per level, fewer than parsing takes, so any tree that parsed evaluates."""
+    `universe`, which only Not and the empty And read. Leaf sets are read,
+    never changed. It takes one stack frame per level, fewer than parsing
+    takes, so any tree that parsed evaluates."""
     if isinstance(node, And):
-        result = set(universe)
-        for item in node.items:
-            result &= eval_condition(item, leaf, universe)
+        if not node.items:
+            return set(universe)
+        result = eval_condition(node.items[0], leaf, universe)
+        for item in node.items[1:]:
+            # a new set, not `&=`: the first may be a leaf's own set
+            result = result & eval_condition(item, leaf, universe)
         return result
     if isinstance(node, Or):
         result = set()
@@ -541,7 +545,8 @@ def eval_condition(node, leaf, universe: Iterable) -> set:
             result |= eval_condition(item, leaf, universe)
         return result
     if isinstance(node, Not):
-        return set(universe).difference(eval_condition(node.item, leaf, universe))
+        inner = eval_condition(node.item, leaf, universe)
+        return set(filterfalse(inner.__contains__, universe))
     return leaf(node)
 
 
@@ -600,8 +605,8 @@ def eval_row_predicate(relation: Relation, predicate: RowPredicate) -> set[int]:
         values = map(operator.itemgetter(meta.index), relation.rows)
         # a null never matches, as in compare_values
         return {
-            i for i, value in enumerate(values)
+            i for i, value in zip(relation.row_numbers, values)
             if value is not None and compare(value, const)
         }
 
-    return eval_condition(predicate, comparison_rows, range(relation.row_count))
+    return eval_condition(predicate, comparison_rows, relation.row_numbers)

@@ -1,4 +1,5 @@
-"""Reference miner the levelwise walk in `fdq.miner` is checked against.
+"""Reference miner the levelwise walk in `fdq.miner` is checked against,
+and the reference number distance for `fdq.query.value_distance`.
 
 `brute_force_mine` answers the same question as `mine_fds` by brute force
 over row pairs, with no partitions involved, so it cross-checks the fast
@@ -7,11 +8,14 @@ It filters the attribute universe with the miner's own `_filter_universe`,
 so both see the same candidates.
 """
 
+import math
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations
 
 from fdq.fdstore import FDEntry, FDSet, MINED, canonical_key
 from fdq.miner import MiningSpec, _filter_universe
-from fdq.relation import Relation
+from fdq.relation import EXACT, Relation
 
 
 def brute_force_mine(
@@ -102,3 +106,19 @@ def brute_force_mine(
         entries=tuple(entries),
         mined_at=mined_at,
     )
+
+
+def fraction_value_distance(a, b) -> float:
+    """`value_distance` of two numbers through `Fraction`: the relative
+    difference |a - b| / max(|a|, |b|), exact until `float()` rounds it
+    once, 1.0 across a zero or a sign, and never 0 for distinct numbers."""
+    a, b = Decimal(a), Decimal(b)
+    if a == b:
+        return 0.0
+    if not a or not b or (a < 0) != (b < 0) or abs(a.adjusted() - b.adjusted()) > 17:
+        return 1.0
+    # scaled first, exactly, since a Fraction of 1E+999999999999999999
+    # would need an int of that many digits
+    shift = -max(a.adjusted(), b.adjusted())
+    a, b = Fraction(EXACT.scaleb(a, shift)), Fraction(EXACT.scaleb(b, shift))
+    return float(abs(a - b) / max(abs(a), abs(b))) or math.ulp(0.0)

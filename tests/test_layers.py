@@ -5,7 +5,10 @@ never reaches the query layer.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fdq"
 LAYERS = [
@@ -49,3 +52,19 @@ def test_modules_import_only_earlier_layers():
             if later:
                 upward[path.stem] = later
     assert upward == {}
+
+
+def test_starting_fdq_imports_neither_datetime_nor_fractions():
+    """Every start pays for what `fdq.cli` imports: `datetime` only gave the
+    MINEFD clock its text, `fractions` only the distance of two numbers, and
+    `time` and ints give both. A fresh interpreter, so no other test's
+    imports count."""
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    script = "import sys, fdq.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-B", "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert "fdq.cli" in loaded
+    assert {"datetime", "fractions"}.isdisjoint(loaded)

@@ -2,6 +2,7 @@
 statements. Every law here is one the rest of the suite relies on pointwise;
 the generators shake out the shapes the golden tests do not reach."""
 
+import decimal
 from collections import Counter
 from decimal import Decimal
 from itertools import chain
@@ -13,7 +14,7 @@ import pytest
 from canonical import assert_canonical, generator_grouped, reference_partition
 from hypothesis import example, given, settings, strategies as st
 from literals import literal_value, number_literals, same_value
-from oracle import brute_force_mine
+from oracle import brute_force_mine, fraction_value_distance
 
 import fdq.miner
 import fdq.partition
@@ -441,6 +442,47 @@ def test_banded_distance_decides_like_the_full_one(case):
     if abs(len(a) - len(b)) > k or len(set(a) ^ set(b)) > 2 * k:
         assert not kernel.called  # the length gap or the character sets decide
     assert value_distance(a, b, "text") == exact
+
+
+# exponents near 0, past the float range both ways, and at the top and the
+# bottom of what LOAD accepts
+DECIMAL_EXPONENTS = (0, 380, -420, decimal.MAX_EMAX - 100, decimal.MIN_ETINY)
+
+
+@st.composite
+def number_pairs(draw):
+    """Two ints, or two decimals, often close: the second is the first
+    moved by a little, in its last digits or within a few decades."""
+    if draw(st.booleans()):
+        a = draw(st.sampled_from([1, -1])) * draw(
+            st.sampled_from([0, 7, 10**17, 10**20, 10**400])
+        ) + draw(st.integers(-1000, 1000))
+        step = draw(st.sampled_from([1, 10**15, 10**380]))
+        return a, a + draw(st.integers(-10**6, 10**6)) * step, "integer"
+    base = draw(st.sampled_from(DECIMAL_EXPONENTS))
+    sign = draw(st.sampled_from(["", "-"]))
+    digits = draw(st.integers(0, 10 ** draw(st.integers(1, 45))))
+    a = Decimal(f"{sign}{digits}E{base + draw(st.integers(0, 40))}")
+    if draw(st.booleans()):  # the same exponent, other last digits
+        near = abs(digits + draw(st.integers(-10, 10)))
+        b = Decimal(f"{sign}{near}E{a.as_tuple().exponent}")
+    else:
+        other = draw(st.integers(0, 10 ** draw(st.integers(1, 45))))
+        other_sign = draw(st.sampled_from(["", "-"]))
+        b = Decimal(f"{other_sign}{other}E{base + draw(st.integers(0, 40))}")
+    return a, b, "decimal"
+
+
+@common
+@given(number_pairs())
+@example((10**400, 10**400 + 1, "integer"))
+@example((Decimal("1E-400"), Decimal("3E-400"), "decimal"))
+@example((Decimal("1." + "0" * 45 + "1"), Decimal("1." + "0" * 45 + "2"), "decimal"))
+def test_number_distance_equals_the_fraction_quotient(case):
+    a, b, kind = case
+    expected = fraction_value_distance(a, b)
+    assert value_distance(a, b, kind) == expected
+    assert value_distance(b, a, kind) == expected
 
 
 @st.composite
