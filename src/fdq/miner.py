@@ -103,24 +103,17 @@ class MiningSpec:
             )
 
 
-def _check_literals(expr: SetExpr | None, names: Sequence[str], side: str) -> None:
-    if expr is None:
-        return
-    known = set(names)
-    for pattern in literal_patterns(expr):
-        if pattern not in known:
-            raise NameResolutionError(
-                f"{side} filter names unknown attribute {pattern!r}"
-            )
-
-
 def _filter_universe(
     expr: SetExpr | None, relation: Relation, side: str
 ) -> list[int]:
     names = relation.attribute_names
     if expr is None:
         return list(range(len(names)))
-    _check_literals(expr, names, side)
+    for pattern in literal_patterns(expr):
+        if pattern not in names:
+            raise NameResolutionError(
+                f"{side} filter names unknown attribute {pattern!r}"
+            )
     hits: set[str] = set()
     for alternative in eval_subset_expr(expr, names):
         hits.update(alternative)
@@ -160,107 +153,95 @@ def mine_fds(
     denominator = n * n - n
     entries: list[FDEntry] = []
 
-    # nodes are ascending tuples of attribute indexes, each with its
-    # partition, at the size cap the ids of the attribute that partition
-    # lacks (see below), and its open dependents
-    level: dict[tuple[int, ...], tuple[PLI, list[int] | None, set[int]]] = {
-        (a,): (singles[a], None, set(rhs_universe) - {a}) for a in lhs_universe
+    # nodes are bitmasks of attribute indexes, each with its partition, at
+    # the size cap the ids of the attribute that partition lacks (see
+    # below), and its open dependents; X -> A's kept score sits under
+    # (X | 1 << A, A), and the product X u {A} under X | 1 << A
+    level: dict[int, tuple[PLI, list[int] | None, set[int]]] = {
+        1 << a: (singles[a], None, set(rhs_universe) - {a}) for a in lhs_universe
     }
     size = 1
     while level:
-        # each candidate's kept score, under the bitmask of its columns, and
         # the candidates whose kept score does not decide the bound
-        keys = {
-            node: {a: (sum(1 << i for i in node) | 1 << a, a) for a in open_rhs}
-            for node, (_, _, open_rhs) in level.items()
-        }
         unsettled = {
-            node: {a for a, key in by_a.items() if not _decides(kept.get(key), bound)}
-            for node, by_a in keys.items()
+            node: {a for a in rhs if not _decides(kept.get((node | 1 << a, a)), bound)}
+            for node, (_, _, rhs) in level.items()
         }
         # no level splits the nodes at the cap, so their products would be
         # scored once and dropped: keep each as its base and the lacking
         # attribute's ids, and split the base while scoring instead
         at_cap = size + 1 == spec.max_lhs_len
         grows = spec.max_lhs_len is None or size < spec.max_lhs_len
+        # the nodes one larger whose subsets are all nodes: the next level
+        # is drawn from them, and so are the products built before scoring
+        candidates = list(_next_nodes(level, lhs_universe)) if grows else []
         # below the cap, build first the products of the next level that
         # score a candidate of this one, so that X -> A is scored from the
-        # pair counts of X and X u {A}, keyed by the bitmask of X u {A}
+        # pair counts of X and X u {A}
         products: dict[int, PLI] = {}
-        if grows and not at_cap:
-            for node, subsets in _next_nodes(level, lhs_universe):
-                if set.intersection(*(level[s][2] for s in subsets)) and any(
-                    node[i] in unsettled[s] for i, s in enumerate(subsets)
+        if not at_cap:
+            for node, subsets in candidates:
+                if set.intersection(*(level[s][2] for s, _ in subsets)) and any(
+                    a in unsettled[s] for s, a in subsets
                 ):
-                    products[sum(1 << i for i in node)] = intersect(
-                        *_smallest(node, subsets, level, singles)
-                    )
+                    products[node] = intersect(*_smallest(subsets, level, singles))
 
         # each scored node with a dependent past the bound, and those
         # dependents; and each (node, dependent) at error exactly 0
-        live: dict[tuple[int, ...], set[int]] = {}
-        exact: set[tuple[tuple[int, ...], int]] = set()
+        live: dict[int, set[int]] = {}
+        exact: set[tuple[int, int]] = set()
         for node, (pli, split, open_rhs) in level.items():
-            todo = sorted(open_rhs)
-            node_keys = keys[node]
             unscored = []
             for a in sorted(unsettled[node]):
-                key = node_keys[a]
-                product = products.get(key[0])
+                product = products.get(node | 1 << a)
                 if product is None:
                     unscored.append(a)
                 else:
                     # the same integer `pair_errors` counts, so the same float
                     violating = pli.pairs - product.pairs
                     err = violating / denominator if denominator else 0.0
-                    kept[key] = (err, True)
+                    kept[node | 1 << a, a] = (err, True)
             if unscored:
                 scores = pair_errors(pli, [ids[a] for a in unscored], n, bound, split)
                 for a, score in zip(unscored, scores):
-                    kept[node_keys[a]] = score
-            for a in todo:
-                err = kept[node_keys[a]][0]
+                    kept[node | 1 << a, a] = score
+            lhs = tuple(sorted(names[i] for i in lhs_universe if node >> i & 1))
+            for a in sorted(open_rhs):
+                err = kept[node | 1 << a, a][0]
                 if err <= bound:
                     if err == 0:
                         exact.add((node, a))
-                    entries.append(
-                        FDEntry(
-                            lhs=tuple(sorted(names[i] for i in node)),
-                            rhs=names[a],
-                            error=err,
-                            origin=MINED,
-                        )
-                    )
+                    entries.append(FDEntry(lhs, names[a], err, origin=MINED))
                 else:
                     live.setdefault(node, set()).add(a)
 
         if not grows:
             break
-        next_level: dict[tuple[int, ...], tuple[PLI, list[int] | None, set[int]]] = {}
-        for node, subsets in _next_nodes(live, lhs_universe):
+        next_level: dict[int, tuple[PLI, list[int] | None, set[int]]] = {}
+        for node, subsets in candidates:
             # a dependent stays open at a node only while it is open and
             # past the bound at every subset one smaller (TANE's C+ sets):
             # a determinant emitted at a subset settles it, and a node
-            # with nothing open is not built
-            open_rhs = set.intersection(*(live[s] for s in subsets))
+            # with nothing open, or with a subset not live, is not built
+            if not all(s in live for s, _ in subsets):
+                continue
+            open_rhs = set.intersection(*(live[s] for s, _ in subsets))
             # nor is a node that holds an attribute its subset determines
             # at error exactly 0: it has that subset's partition, so its
             # candidates, and its supersets', are settled or fail
-            if not open_rhs or any(
-                (s, node[i]) in exact for i, s in enumerate(subsets)
-            ):
+            if not open_rhs or any(pair in exact for pair in subsets):
                 continue
             if at_cap:
-                smallest, lacking = _smallest(node, subsets, level, singles)
+                smallest, lacking = _smallest(subsets, level, singles)
                 next_level[node] = (smallest, lacking.ids, open_rhs)
                 continue
-            product = products.get(sum(1 << i for i in node))
+            product = products.get(node)
             if product is None:
-                product = intersect(*_smallest(node, subsets, level, singles))
+                product = intersect(*_smallest(subsets, level, singles))
             # the same holds wherever a subset has the node's pair count,
             # whatever scored it: splitting a cluster of a + b rows removes
             # 2ab of its pairs, so equal counts mean equal partitions
-            if all(product.pairs != level[s][0].pairs for s in subsets):
+            if all(product.pairs != level[s][0].pairs for s, _ in subsets):
                 next_level[node] = (product, None, open_rhs)
         # drop the products that became no node before the next level
         products.clear()
@@ -283,26 +264,28 @@ def _decides(score: tuple[float, bool] | None, bound: float) -> bool:
     return score is not None and (score[1] or score[0] > bound)
 
 
-def _next_nodes(nodes, lhs_universe: Sequence[int]):
-    """Each node one larger whose subsets one smaller are all among
-    `nodes`, with those subsets, in serial order: by the subset that lacks
-    the node's largest attribute, then by that attribute."""
-    for base in nodes:
+def _next_nodes(level, lhs_universe: Sequence[int]):
+    """Each node one larger whose subsets one smaller are all in `level`,
+    with those subsets, each paired with the attribute it lacks, in
+    ascending order of that attribute; in serial order: by the subset that
+    lacks the node's largest attribute, then by that attribute."""
+    for base in level:
         for last in lhs_universe:
-            if last <= base[-1]:
+            if base >> last:  # not above the base's largest attribute
                 continue
-            node = base + (last,)
-            subsets = [node[:i] + node[i + 1:] for i in range(len(node))]
-            if all(s in nodes for s in subsets):
+            node = base | 1 << last
+            subsets = [(node ^ 1 << a, a) for a in lhs_universe if node >> a & 1]
+            if all(s in level for s, _ in subsets):
                 yield node, subsets
 
 
-def _smallest(node, subsets, level, singles) -> tuple[PLI, PLI]:
+def _smallest(subsets, level, singles) -> tuple[PLI, PLI]:
     """The partition of the subset that covers the fewest rows (the first
-    of equals), and that of the attribute of `node` it lacks: every subset
-    gives the same product, at a cost linear in the rows it covers."""
-    _, i = min((level[s][0].covered, i) for i, s in enumerate(subsets))
-    return level[subsets[i]][0], singles[node[i]]
+    of equals, in ascending order of the attribute it lacks), and that of
+    the attribute it lacks: every subset gives the same product, at a cost
+    linear in the rows it covers."""
+    s, a = min(subsets, key=lambda pair: level[pair[0]][0].covered)
+    return level[s][0], singles[a]
 
 
 # --- the MINEFD statement --------------------------------------------------------

@@ -329,12 +329,18 @@ def _resolve(relation: Relation, names: Sequence[str]) -> list[int]:
     return [relation.attribute(n).index for n in names]
 
 
-def _scope_rows(relation: Relation, on: RowPredicate | None) -> set[int] | None:
-    """The ON scope's rows, or None for the whole table, which the partition
-    layer then takes as it is, without cutting it to a scope."""
-    if on is None:
-        return None
-    return eval_row_predicate(relation, on)
+def _dependency(
+    relation: Relation, lhs: Sequence[str], rhs: str, on: RowPredicate | None
+) -> tuple[list[int], int, set[int] | None]:
+    """A dependency predicate's determinant and dependent indexes, and its ON
+    scope's rows, or None for the whole table, which the partition layer
+    then takes as it is, without cutting it to a scope; resolved in that
+    order, so a bad statement reports its first bad part."""
+    return (
+        _resolve(relation, lhs),
+        relation.attribute(rhs).index,
+        None if on is None else eval_row_predicate(relation, on),
+    )
 
 
 def eval_holds(
@@ -353,9 +359,7 @@ def eval_holds(
     """
     if error is not None and not 0.0 <= error < 1.0:
         raise ParameterError(f"error bound {error} outside [0, 1)")
-    lhs_idx = _resolve(relation, lhs)
-    rhs_idx = relation.attribute(rhs).index
-    scope = _scope_rows(relation, on_condition)
+    lhs_idx, rhs_idx, scope = _dependency(relation, lhs, rhs, on_condition)
     # the snapshot's row numbers, so the rows kept share their int objects
     rows = relation.row_numbers if scope is None else scope
     if not rows:
@@ -375,10 +379,7 @@ def eval_not_holds(
     on_condition: RowPredicate | None = None,
 ) -> set[int]:
     """Scope rows that witness a violation: the complement of exact HOLDS."""
-    lhs_idx = _resolve(relation, lhs)
-    rhs_idx = relation.attribute(rhs).index
-    scope = _scope_rows(relation, on_condition)
-    return violating_rows(relation, lhs_idx, rhs_idx, scope)
+    return violating_rows(relation, *_dependency(relation, lhs, rhs, on_condition))
 
 
 def _levenshtein(a: str, b: str, k: int) -> int:
@@ -481,9 +482,7 @@ def eval_violates(
         raise ParameterError(f"distance threshold {threshold} is negative")
     suspect_meta = relation.attribute(suspect)
     kind = suspect_meta.kind
-    group_attrs = [
-        relation.attribute(a).index for a in lhs if a != suspect
-    ] + [relation.attribute(rhs).index]
+    group_attrs = _resolve(relation, [*(a for a in lhs if a != suspect), rhs])
     column = suspect_meta.index
     ids = value_ids(relation, column)
     rows = relation.rows

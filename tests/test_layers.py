@@ -68,3 +68,22 @@ def test_starting_fdq_imports_neither_datetime_nor_fractions():
     ).stdout.split()
     assert "fdq.cli" in loaded
     assert {"datetime", "fractions"}.isdisjoint(loaded)
+
+
+def test_the_package_imports_only_the_standard_library():
+    """fdq needs nothing but Python itself: every absolute import in the
+    package names a standard library module."""
+    outside = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top not in sys.stdlib_module_names:
+                    outside.setdefault(path.stem, set()).add(top)
+    assert outside == {}

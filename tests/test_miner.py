@@ -1,5 +1,6 @@
 import logging
 import random
+from collections import Counter
 
 import pytest
 from oracle import brute_force_mine
@@ -129,23 +130,23 @@ class TestMineFds:
         assert one.entries == two.entries == eight.entries
 
     @pytest.mark.parametrize(
-        "spec, products, split_rows, rows",
+        "spec, products, split_rows, rows, nodes",
         [
             # the walk builds the next level's products that score a
             # candidate before it scores the level, and scores those
             # candidates from pair counts: scoring every candidate with
             # pair_errors builds 38 products over 178 rows and reads 1 432
             # rows in all, and 19 over 124 and 1 223 at 0.05
-            (MiningSpec(), 100, 230, 598),
-            (MiningSpec(max_lhs_len=1), 0, 0, 600),
+            (MiningSpec(), 100, 230, 598, {1: 11, 2: 32, 3: 6}),
+            (MiningSpec(max_lhs_len=1), 0, 0, 600, {1: 11}),
             # the cap level is scored from its bases, with no products
-            (MiningSpec(max_lhs_len=2), 0, 0, 1788),
-            (MiningSpec(error_threshold=0.05), 74, 228, 581),
+            (MiningSpec(max_lhs_len=2), 0, 0, 1788, {1: 11, 2: 32}),
+            (MiningSpec(error_threshold=0.05), 74, 228, 581, {1: 11, 2: 17, 3: 2}),
         ],
         ids=["exact", "cap-1", "cap-2", "bound-0.05"],
     )
     def test_partition_products_are_pinned(
-        self, iowa, monkeypatch, spec, products, split_rows, rows
+        self, iowa, monkeypatch, spec, products, split_rows, rows, nodes
     ):
         # deterministic work counters: losing a pruning rule raises the
         # product count, splitting a larger subset than needed raises the
@@ -160,6 +161,9 @@ class TestMineFds:
         assert work.product_rows == split_rows
         assert work.rows == rows
         assert mined.entries == brute_force_mine(iowa, spec).entries
+        # the nodes scored per size, read from the kept scores' keys
+        scored = {mask & ~(1 << a) for mask, a in scores(iowa)}
+        assert Counter(node.bit_count() for node in scored) == nodes
 
     def test_wide_random_columns_read_fewer_rows(self, monkeypatch):
         # ten random columns of four values: few dependencies hold, so

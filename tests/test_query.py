@@ -325,9 +325,16 @@ class TestEvalHolds:
         assert exact == set(range(10))
         assert eval_holds(iowa, ["Zip"], "Pack", error=0.0) == exact
 
-    def test_empty_scope(self, iowa):
+    @pytest.mark.parametrize("error", [None, 0.1])
+    def test_empty_scope(self, iowa, monkeypatch, error):
+        # an empty scope keeps no row, and looks for no witness to learn it
+        def unreachable(*args):
+            raise AssertionError("an empty scope has no witnesses to find")
+
+        monkeypatch.setattr(fdq.query, "violating_rows", unreachable)
         kept = eval_holds(
-            iowa, ["Zip"], "Pack", on_condition=Comparison("Pack", "=", 999)
+            iowa, ["Zip"], "Pack", on_condition=Comparison("Pack", "=", 999),
+            error=error,
         )
         assert kept == set()
 
