@@ -259,7 +259,9 @@ def read_statements(text: str) -> tuple[list[str], str]:
         if stmt:
             statements.append(stmt)
 
-    for line in text.splitlines():
+    # "\n" alone ends a line, as in the tokenizer; splitlines() would also
+    # cut inside a string or comment at "\r", "\x85", U+2028 and the like
+    for line in text.removesuffix("\n").split("\n"):
         stripped = line.strip()
         if stripped.startswith("\\"):
             flush()

@@ -376,7 +376,9 @@ def loads_fdset(text: str) -> FDSet:
     header = None
     entries: list[FDEntry] = []
     first_line: dict[tuple[tuple[str, ...], str], int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # dumps_fdset writes "\x85", U+2028 and U+2029 raw, so only "\n" ends
+    # a record, not every break splitlines() knows
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -61,7 +61,6 @@ agree with the brute-force reference miner in `tests/oracle.py`.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -81,8 +80,6 @@ from .partition import PLI, build_pli, intersect, pair_errors, value_ids
 from .relation import Or, Relation, walk
 from .setexpr import SetExpr, eval_subset_expr, literal_patterns
 from .tokens import TokenStream, statement_parser
-
-log = logging.getLogger("fdq.miner")
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,11 @@ def _filter_universe(
     for alternative in eval_subset_expr(expr, names):
         hits.update(alternative)
     if not hits:
-        log.warning("%s filter matched no attributes; result will be empty", side)
+        import logging  # loaded here, its only use, so no other start pays for it
+
+        logging.getLogger("fdq.miner").warning(
+            "%s filter matched no attributes; result will be empty", side
+        )
     return [i for i, n in enumerate(names) if n in hits]
 
 

@@ -385,37 +385,44 @@ def eval_not_holds(
 def _levenshtein(a: str, b: str, k: int) -> int:
     """Edit distance of a and b when it is at most k, otherwise k + 1.
 
-    Only cells within k of the diagonal are filled, since a cell further
-    off needs more than k edits, and the scan stops once every cell of a
-    row exceeds k, since no later row can go back below it (Ukkonen,
-    "Algorithms for approximate string matching", 1985).
+    Bit-parallel (Myers, JACM 1999, in Hyyrö's form for the edit distance):
+    the table's column down the shorter string b is two bit vectors, where
+    bit i of `up` (of `down`) says that cell i + 1 is one more (one less)
+    than cell i. Each character of a moves the column on by a few int
+    operations, and its last cell, the distance of b to the part of a read
+    so far, by the top bit of the row's differences. That cell falls by at
+    most one per character left, so the scan stops once it exceeds k by
+    more than the characters left.
     """
     if len(a) < len(b):
         a, b = b, a
-    n, p = len(a), len(b)
-    over = k + 1
-    previous = list(range(p + 1))
-    for i in range(1, n + 1):
-        ca = a[i - 1]
-        lo = max(1, i - k)
-        hi = min(p, i + k)
-        current = [over] * (p + 1)
-        if i <= k:
-            current[0] = i
-        left = best = current[lo - 1]
-        for j in range(lo, hi + 1):
-            x = previous[j - 1] + (ca != b[j - 1])
-            if previous[j] + 1 < x:
-                x = previous[j] + 1
-            if left + 1 < x:
-                x = left + 1
-            if x < best:
-                best = x
-            current[j] = left = x
-        if best > k:
-            return over
-        previous = current
-    return min(previous[p], over)
+    if not b:
+        return min(len(a), k + 1)
+    positions: dict[str, int] = {}  # each character's bits in b
+    for i, ch in enumerate(b):
+        positions[ch] = positions.get(ch, 0) | 1 << i
+    top = 1 << (len(b) - 1)
+    mask = (top << 1) - 1
+    up, down = mask, 0
+    distance, left = len(b), len(a)
+    for ch in a:
+        eq = positions.get(ch, 0)
+        xv = eq | down
+        xh = (((eq & up) + up) ^ up) | eq
+        rises = down | ~(xh | up)  # negative: only its low bits are read
+        falls = up & xh
+        if rises & top:
+            distance += 1
+        elif falls & top:
+            distance -= 1
+        left -= 1
+        if distance - left > k:
+            return k + 1
+        rises = rises << 1 | 1  # row 0 rises by one per character
+        falls <<= 1
+        up = (falls | ~(xv | rises)) & mask
+        down = rises & xv
+    return min(distance, k + 1)
 
 
 def value_distance(

@@ -17,7 +17,7 @@ snapshot derived by `with_rows` from a parent whose fingerprint is known
 updates it by the changed rows alone when fewer than half the rows
 changed. A decimal cell is digested by its exact normalized value, so
 1.50 and 1.5 agree, and decimals that differ in any digit or exponent
-do not.
+do not. The hash module itself loads with the first fingerprint.
 
 A snapshot also keeps what later layers derived from its columns, in
 `derived`: the partition layer's value ids of one attribute (per row,
@@ -34,7 +34,6 @@ way.
 from __future__ import annotations
 
 import csv
-import hashlib
 import operator
 import os
 import re
@@ -234,9 +233,19 @@ _MODULUS = 1 << 64
 _SEP = b"\xff"
 
 
+def _blake2b(data: bytes, digest_size: int):
+    """hashlib's blake2b. The first call imports it and rebinds this name to
+    it, so a start that takes no fingerprint never loads the hash module
+    and later digests call blake2b directly."""
+    global _blake2b
+    from hashlib import blake2b as _blake2b
+
+    return _blake2b(data, digest_size=digest_size)
+
+
 def _digest(fields: list[bytes]) -> int:
     data = _SEP.join(fields)
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+    return int.from_bytes(_blake2b(data, digest_size=8).digest(), "big")
 
 
 def _header_digest(schema, row_count: int) -> int:

@@ -19,6 +19,7 @@ from fdq.cli import (
     QuitRequested,
     Session,
     main,
+    read_statements,
     render,
     run_command,
     run_repl,
@@ -84,12 +85,33 @@ class TestSplitStatements:
     def test_blank_and_comment_only_input(self):
         assert split_statements("  \n-- nothing here\n") == []
 
+    # characters str.splitlines() breaks at, which the tokenizer reads as
+    # part of a string or a comment: only "\n" ends a line
+    OTHER_BREAKS = ["\u2028", "\u2029", "\x85", "\r", "\x0c"]
+
+    @pytest.mark.parametrize("brk", OTHER_BREAKS)
+    def test_other_line_breaks_stay_inside_a_literal(self, brk):
+        statement = f"SELECT \"C\" FROM T WHERE [\"A\" = 'x{brk}y']"
+        assert split_statements(f"{statement};\n") == [statement]
+
+    @pytest.mark.parametrize("brk", OTHER_BREAKS)
+    def test_other_line_breaks_stay_inside_a_comment(self, brk):
+        text = f"SELECT * -- note{brk}FROM B\nFROM A;"
+        assert split_statements(text) == ["SELECT * \nFROM A"]
+
+    @pytest.mark.parametrize("end", ["", "\n"])
+    def test_rest_keeps_one_break_per_line(self, end):
+        assert read_statements(f"LOAD 'a.csv' AS A; SELECT *\nFROM A{end}") == (
+            ["LOAD 'a.csv' AS A"],
+            " SELECT *\nFROM A\n",
+        )
+
 
 # pieces of scripts: closed strings holding ";" and "--", comments, ";",
 # identifiers, numbers, punctuation and blanks
 SCRIPT_PIECES = st.sampled_from([
     "'a;b'", '"c--d"', "';'", '"--"', "''", "'x \"y'",
-    "-- note; 'open\n", "--\n",
+    "-- note; 'open\n", "--\n", "'x\u2028y'", '"\x85"', "-- a\u2029b;\n",
     ";", ";", "LOAD", "x_1", "Zip", "12", "2.5", ".5e-3", "7E2",
     "(", ")", ",", "=", "<=", "->", "-", "*", "[", "]", "{", "}",
     " ", " ", "\n", "\t",
@@ -616,6 +638,24 @@ class TestImportExport:
         }
         assert all(e.origin == "imported" for e in copy.entries)
 
+    def test_round_trip_of_names_with_other_line_breaks(self, tmp_path):
+        # JSON writes U+2028, U+2029 and U+0085 raw: a record ends at "\n"
+        names = ["A\u2028B", "C\u2029", "\x85D"]
+        (tmp_path / "t.csv").write_text(
+            ",".join(names) + "\nx,1,p\ny,2,p\n", encoding="utf-8"
+        )
+        outputs = run(
+            fresh_session(tmp_path),
+            "LOAD 't.csv' AS T",
+            "MINEFD fs AS SELECT LHS -> RHS FROM T",
+            "EXPORT fs TO 'fs.fdset'",
+            "IMPORT 'fs.fdset' AS copy",
+        )
+        assert outputs[3] == "imported copy: 4 dependencies (bound to table 'T')"
+        assert {e.key for e in load_fdset(tmp_path / "fs.fdset").entries} == {
+            ((a,), b) for a in names[:2] for b in names if a != b
+        }
+
     def test_export_unknown_set(self, data_dir, tmp_path):
         with pytest.raises(NameResolutionError):
             run(fresh_session(data_dir), f"EXPORT nope TO '{tmp_path}/x'")
@@ -941,6 +981,16 @@ class TestMain:
         script.write_text("LOAD 'iowa.csv' AS IOWA;\n", encoding="utf-8")
         assert main(["exec", "--data-dir", str(data_dir), "-f", str(script)]) == 0
         assert "loaded IOWA" in capsys.readouterr().out
+
+    def test_exec_file_with_a_line_separator_in_a_literal(self, tmp_path, capsys):
+        (tmp_path / "t.csv").write_text("A,C\nx\u2028y,1\nx,2\n", encoding="utf-8")
+        script = tmp_path / "s.fdq"
+        script.write_text(
+            "LOAD 't.csv' AS T;\nSELECT \"C\" FROM T WHERE [\"A\" = 'x\u2028y'];\n",
+            encoding="utf-8",
+        )
+        assert main(["exec", "--data-dir", str(tmp_path), "-f", str(script)]) == 0
+        assert capsys.readouterr().out.endswith("C\n-\n1\n(1 row)\n")
 
     def test_minefd_over_a_decimal_past_the_default_exponents(self, tmp_path, capsys):
         (tmp_path / "t.csv").write_text("A,B\n1,1e9999999\n2,3.5\n", encoding="utf-8")

@@ -5,6 +5,7 @@ never reaches the query layer.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -54,11 +55,13 @@ def test_modules_import_only_earlier_layers():
     assert upward == {}
 
 
-def test_starting_fdq_imports_neither_datetime_nor_fractions():
+def test_starting_the_cli_loads_no_module_only_some_statements_need():
     """Every start pays for what `fdq.cli` imports: `datetime` only gave the
     MINEFD clock its text, `fractions` only the distance of two numbers, and
-    `time` and ints give both. A fresh interpreter, so no other test's
-    imports count."""
+    `time` and ints give both. `logging` serves one miner warning, `hashlib`
+    (with OpenSSL's `_hashlib`) the table fingerprint, and `fdq.cfd` no
+    statement at all, so each loads only where it is used. A fresh
+    interpreter, so no other test's imports count."""
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
     script = "import sys, fdq.cli; print(*sorted(sys.modules))"
     loaded = subprocess.run(
@@ -67,7 +70,48 @@ def test_starting_fdq_imports_neither_datetime_nor_fractions():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
     assert "fdq.cli" in loaded
-    assert {"datetime", "fractions"}.isdisjoint(loaded)
+    unneeded = {"datetime", "fractions", "logging", "hashlib", "_hashlib", "fdq.cfd"}
+    assert unneeded.isdisjoint(loaded)
+
+
+# the package's public names, under the module that defines each; the
+# modules' own names are public too
+PUBLIC = {
+    "errors": "ContractError FdqError IngestError KindMismatchError "
+    "NameResolutionError ParameterError ParseError SchemaError "
+    "UnsupportedOperationError",
+    "relation": "And AttributeMeta Comparison Not Or Relation TRUE "
+    "eval_row_predicate load_csv",
+    "partition": "PLI build_pli error_measure intersect pli_of value_ids",
+    "result": "ResultTable",
+    "fdstore": "FDEntry FDSet attr_closure diff_fdsets eval_fdml import_fdset "
+    "is_implied load_fdset parse_fdml save_fdset",
+    "cfd": "CFD PatternTableau cfd_confidence cfd_support tableau_match_rows",
+    "miner": "MiningSpec execute_minefd mine_fds parse_minefd",
+    "query": "ExtendedSelect FdPredicate eval_dependent eval_holds "
+    "eval_not_holds eval_violates execute parse_extended_select select_to_text",
+    "cli": "Session render run_command",
+    "setexpr": "",
+    "tokens": "",
+}
+
+
+def test_the_package_serves_its_public_names():
+    """`fdq` lists the same 67 names as ever, in `__all__` and `dir()`, and
+    each, though imported on first use, is its defining module's object."""
+    import fdq
+
+    names = [*PUBLIC, *" ".join(PUBLIC.values()).split()]
+    assert len(names) == 67
+    assert fdq.__all__ == sorted(names)
+    assert [name for name in dir(fdq) if not name.startswith("_")] == fdq.__all__
+    for module, exported in PUBLIC.items():
+        home = importlib.import_module(f"fdq.{module}")
+        assert getattr(fdq, module) is home
+        for name in exported.split():
+            assert getattr(fdq, name) is getattr(home, name), name
+    assert fdq.CFD is fdq.cfd.CFD
+    assert not hasattr(fdq, "no_such_name")
 
 
 def test_the_package_imports_only_the_standard_library():

@@ -109,13 +109,20 @@ def relations_with_fd(draw, min_attrs=2):
     return relation, lhs, rhs
 
 
+# names JSON writes raw that str.splitlines() would break a line at, a
+# quote, and a character outside the BMP
+ODD_NAMES = ("A\u2028B", "\u2029", "x\x85y", 'say "hi"', "\U0001d11e")
+
+
 @st.composite
-def fdsets(draw):
+def fdsets(draw, names=NAMES, set_names=("fs", "prev", "night_run")):
     keys = draw(
         st.lists(
             st.tuples(
-                st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True),
-                st.sampled_from(NAMES),
+                st.lists(
+                    st.sampled_from(names), min_size=1, max_size=3, unique=True
+                ),
+                st.sampled_from(names),
             ).filter(lambda pair: pair[1] not in pair[0]),
             max_size=8,
         )
@@ -127,7 +134,7 @@ def fdsets(draw):
         entry = FDEntry(tuple(sorted(lhs)), rhs, error=error, origin=origin)
         entries[entry.key] = entry
     return FDSet(
-        name=draw(st.sampled_from(["fs", "prev", "night_run"])),
+        name=draw(st.sampled_from(set_names)),
         table_binding="t",
         table_fingerprint=draw(st.integers(0, 2**64 - 1)),
         entries=tuple(sorted(entries.values(), key=lambda e: e.key)),
@@ -371,7 +378,7 @@ def test_violates_stays_inside_conflicted_groups(case):
 
 def full_levenshtein(a, b):
     """The whole edit-distance table, row by row: the oracle for the
-    banded kernel in fdq.query."""
+    bit-parallel kernel in fdq.query."""
     if len(a) < len(b):
         a, b = b, a
     previous = list(range(len(b) + 1))
@@ -396,12 +403,44 @@ def full_distance(a, b, kind):
 
 
 DISTANCE_BOUNDS = (0.0, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.75, 0.999, 1.0, 2.0, 1e308)
-short_texts = st.text(alphabet="abé漢", max_size=13)
+# accented, CJK and astral characters
+TEXT_ALPHABET = "abé漢\U0001d11e"
+short_texts = st.text(alphabet=TEXT_ALPHABET, max_size=13)
+
+
+@st.composite
+def long_text_pairs(draw):
+    """A text longer than 64 characters, past one machine word of the
+    kernel's bit vectors, and a copy of it with a few edits."""
+    a = draw(st.text(alphabet=TEXT_ALPHABET, min_size=65, max_size=150))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 12))):
+        i = draw(st.integers(0, len(b) - 1)) if b else 0
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert" or not b:
+            b.insert(i, draw(st.sampled_from(TEXT_ALPHABET)))
+        elif edit == "delete":
+            del b[i]
+        else:
+            b[i] = draw(st.sampled_from(TEXT_ALPHABET))
+    return a, "".join(b)
+
+
+text_pairs = st.tuples(short_texts, short_texts) | long_text_pairs()
+
+
+@common
+@given(text_pairs, st.integers(0, 160))
+@example(("", ""), 0)
+@example(("a" * 70, "b" * 70), 69)  # one past k, found at the last character
+def test_levenshtein_kernel_matches_the_full_table(pair, k):
+    a, b = pair
+    assert fdq.query._levenshtein(a, b, k) == min(full_levenshtein(a, b), k + 1)
 
 
 @st.composite
 def texts_and_bounds(draw):
-    a, b = draw(short_texts), draw(short_texts)
+    a, b = draw(text_pairs)
     m = max(len(a), len(b), 1)
     # j / m puts bound * m on an integer, where the band edge sits
     bound = draw(
@@ -898,7 +937,15 @@ def test_closure_is_monotone(fdset, x, y):
 # --- persistence and round trips ----------------------------------------------------
 
 @common
-@given(fdsets())
+@given(fdsets(NAMES + ODD_NAMES, ("fs", "night_run", *ODD_NAMES)))
+@example(
+    FDSet(
+        name="\u2029",
+        table_binding="t",
+        table_fingerprint=7,
+        entries=(FDEntry(("A\u2028B", "\U0001d11e"), "x\x85y"),),
+    )
+)
 def test_fdset_serialization_round_trips(fdset):
     assert loads_fdset(dumps_fdset(fdset)) == fdset
 
