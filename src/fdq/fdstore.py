@@ -124,14 +124,11 @@ class LhsLength:
 
 def parse_lhs_length(ts: TokenStream) -> LhsLength:
     """The rest of an atom after `LHS LENGTH`: an operator and a count."""
-    op_tok = ts.peek()
-    if op_tok.kind != "punct" or op_tok.text not in COMPARISON_OPS:
-        raise ts.error("expected a comparison operator after LENGTH")
-    ts.advance()
+    op = ts.expect_comparison()
     num = ts.expect_number()
     if not isinstance(num.value, int) or num.value < 0:
         raise ts.error("LENGTH compares against a non-negative integer", num)
-    return LhsLength(op_tok.text, num.value)
+    return LhsLength(op, num.value)
 
 
 @dataclass(frozen=True)

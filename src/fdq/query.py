@@ -8,6 +8,9 @@ table (or their ON scope) first; the surrounding WHERE tree then combines
 those row sets with plain filters using ordinary set algebra. Witnesses
 come from `partition.violating_rows`, and every dependency error that
 approximate HOLDS and DEPENDENT test from `partition.error_measure`.
+
+One item reader serves the WHERE tree, ON scopes and UPDATE's WHERE, the
+last two taking comparisons only; NOT HOLDS is NOT over HOLDS.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from decimal import Decimal
 from operator import itemgetter
 from typing import Sequence, Union
 
-from .errors import ContractError, ParameterError, ParseError
+from .errors import ContractError, ParameterError
 from .partition import error_measure, partition_of, value_ids, violating_rows
 from .relation import (
-    COMPARISON_OPS,
     EXACT,
     And,
     Comparison,
@@ -40,7 +42,7 @@ from .relation import (
     walk,
 )
 from .result import ResultTable
-from .tokens import Token, TokenStream, is_kw, statement_parser
+from .tokens import Token, TokenStream, is_kw, quoted, statement_parser
 
 DEFAULT_VIOLATION_THRESHOLD = 0.75
 
@@ -84,14 +86,9 @@ class ExtendedSelect:
 
 def parse_literal(ts: TokenStream) -> Value:
     """A quoted string or an optionally negated number."""
-    tok = ts.peek()
-    if tok.kind == "string":
-        ts.advance()
-        return tok.value
-    negative = False
-    if tok.kind == "punct" and tok.text == "-":
-        ts.advance()
-        negative = True
+    if ts.peek().kind == "string":
+        return ts.advance().value
+    negative = ts.accept_punct("-")
     value = ts.expect_number().value
     if not negative:
         return value
@@ -101,53 +98,41 @@ def parse_literal(ts: TokenStream) -> Value:
 
 def _parse_comparison(ts: TokenStream, bracketed: bool) -> Comparison:
     attr = ts.expect_string("a quoted attribute name").value
-    op_tok = ts.peek()
-    if op_tok.kind != "punct" or op_tok.text not in COMPARISON_OPS:
-        raise ts.error("expected a comparison operator")
-    ts.advance()
+    op = ts.expect_comparison()
     constant = parse_literal(ts)
     if bracketed:
         ts.expect_punct("]")
-    return Comparison(attr, op_tok.text, constant)
+    return Comparison(attr, op, constant)
 
 
-def _parse_condition_atom(ts: TokenStream):
-    if ts.accept_kw("NOT"):
-        return Not(parse_operand(ts, _parse_condition_atom))
-    if ts.accept_punct("["):
-        return _parse_comparison(ts, bracketed=True)
-    return _parse_comparison(ts, bracketed=False)
+def _parse_row_item(ts: TokenStream):
+    tok = ts.peek()
+    item = _parse_where_item(ts)
+    if any(isinstance(node, FdPredicate) for node in walk(item)):
+        raise ts.error("a row condition takes comparisons only", tok)
+    return item
 
 
 def parse_row_condition(ts: TokenStream):
-    """Plain row condition: comparisons (bracketed or bare) under AND/OR/NOT."""
-    return parse_and_or(ts, _parse_condition_atom)
+    """A row condition, as an ON scope and UPDATE's WHERE read it: a WHERE
+    tree whose items hold comparisons only. An item holding a dependency
+    predicate is refused at its first token."""
+    return parse_and_or(ts, _parse_row_item)
 
 
-def _parse_name_list(ts: TokenStream) -> tuple[str, ...]:
-    names = [ts.expect_string("a quoted attribute name").value]
-    while ts.accept_punct(","):
-        names.append(ts.expect_string("a quoted attribute name").value)
-    return tuple(names)
-
-
-def _parse_error_bound(ts: TokenStream, op: str | None) -> float | None:
-    """An optional `, ERROR <op> r` clause: its bound, or None without one.
-    With `op` None the clause is refused."""
+def _parse_error_bound(ts: TokenStream, op: str) -> float | None:
+    """An optional `, ERROR <op> r` clause: its bound, or None without one."""
     if not ts.accept_punct(","):
         return None
-    if op is None:
-        raise ts.error("this predicate does not take an ERROR bound")
     ts.expect_kw("ERROR")
     ts.expect_punct(op)
     return ts.expect_bound()
 
 
-def _parse_fd_body(ts: TokenStream, allow_on: bool, op: str | None):
-    """Common tail of HOLDS/NOT HOLDS/VIOLATES: (lhs -> rhs [ON c] [, ERROR op r]);
-    `op` is None for NOT HOLDS, which takes no bound."""
+def _parse_fd_body(ts: TokenStream, allow_on: bool, op: str):
+    """Common tail of HOLDS and VIOLATES: (lhs -> rhs [ON c] [, ERROR op r])."""
     ts.expect_punct("(")
-    lhs = _parse_name_list(ts)
+    lhs = ts.expect_strings("a quoted attribute name")
     ts.expect_punct("->")
     # the rhs list ends at a comma not followed by a name (ERROR clause)
     rhs = [ts.expect_string("a quoted attribute name").value]
@@ -158,7 +143,6 @@ def _parse_fd_body(ts: TokenStream, allow_on: bool, op: str | None):
     ):
         ts.advance()
         rhs.append(ts.advance().value)
-    rhs = tuple(rhs)
     on = None
     if allow_on and ts.accept_kw("ON"):
         on = parse_row_condition(ts)
@@ -168,31 +152,19 @@ def _parse_fd_body(ts: TokenStream, allow_on: bool, op: str | None):
 
 
 def _fan_out(kind, lhs, rhs_list, on, error, suspect=None):
-    """One predicate per dependent. NOT HOLDS keeps the witnesses against
-    any of them, so it joins with OR; HOLDS and VIOLATES join with AND."""
+    """One predicate per dependent, joined with AND."""
     preds = tuple(
         FdPredicate(kind, lhs, rhs, on=on, error=error, suspect=suspect)
         for rhs in rhs_list
     )
-    if len(preds) == 1:
-        return preds[0]
-    return Or(preds) if kind == "not_holds" else And(preds)
+    return preds[0] if len(preds) == 1 else And(preds)
 
 
 def _parse_where_item(ts: TokenStream):
     tok = ts.peek()
-    if is_kw(tok, "NOT"):
-        nxt = ts.peek(1)
-        if is_kw(nxt, "HOLDS"):
-            ts.advance()
-            ts.advance()
-            lhs, rhs, on, _ = _parse_fd_body(ts, allow_on=True, op=None)
-            return _fan_out("not_holds", lhs, rhs, on, None)
-        ts.advance()
-        inner = parse_operand(ts, _parse_where_item)
-        return _negate_where(ts, tok, inner)
-    if is_kw(tok, "HOLDS"):
-        ts.advance()
+    if ts.accept_kw("NOT"):
+        return _negate_where(ts, tok, parse_operand(ts, _parse_where_item))
+    if ts.accept_kw("HOLDS"):
         lhs, rhs, on, error = _parse_fd_body(ts, allow_on=True, op="=")
         return _fan_out("holds", lhs, rhs, on, error)
     if tok.kind == "string" and is_kw(ts.peek(1), "VIOLATES"):
@@ -202,8 +174,7 @@ def _parse_where_item(ts: TokenStream):
         if suspect not in lhs:
             raise ts.error(f"suspect {suspect!r} must be part of the determinant")
         return _fan_out("violates", lhs, rhs, None, error, suspect=suspect)
-    if tok.kind == "punct" and tok.text == "[":
-        ts.advance()
+    if ts.accept_punct("["):
         return _parse_comparison(ts, bracketed=True)
     if tok.kind == "string":
         return _parse_comparison(ts, bracketed=False)
@@ -213,16 +184,19 @@ def _parse_where_item(ts: TokenStream):
 def _negate_where(ts: TokenStream, not_tok: Token, inner):
     """NOT over a where item: flip dependency predicates, wrap row trees.
 
-    A group made of dependency predicates alone flips by De Morgan, so the
-    NOT of a multi-dependent HOLDS (an AND) is the OR of its NOT HOLDS. A
-    NOT that cannot apply is reported at `not_tok`.
+    NOT HOLDS is this NOT over HOLDS. A group made of dependency predicates
+    alone flips by De Morgan, so the NOT of a multi-dependent HOLDS (an
+    AND) is the OR of its NOT HOLDS. A NOT that cannot apply is reported
+    at `not_tok`.
     """
     if isinstance(inner, FdPredicate):
         if inner.kind == "holds" and inner.error is None:
             return FdPredicate("not_holds", inner.lhs, inner.rhs, on=inner.on)
         if inner.kind == "not_holds":
             return FdPredicate("holds", inner.lhs, inner.rhs, on=inner.on)
-        raise ts.error("only exact HOLDS / NOT HOLDS can be negated", not_tok)
+        raise ts.error(
+            "only exact HOLDS / NOT HOLDS, with no ERROR bound, can be negated", not_tok
+        )
     if all(isinstance(node, (And, Or, FdPredicate)) for node in walk(inner)):
         flipped = tuple(_negate_where(ts, not_tok, item) for item in inner.items)
         return Or(flipped) if isinstance(inner, And) else And(flipped)
@@ -239,9 +213,9 @@ def parse_extended_select(text: str) -> ExtendedSelect:
 
     The projection is *, a list of quoted attribute names, or
     DEPENDENT(["A", ...][, ERROR = r]). Multi-attribute right-hand sides
-    inside a predicate fan out into single-rhs predicates: a conjunction
-    for HOLDS and VIOLATES, a disjunction for NOT HOLDS, so NOT HOLDS
-    returns the witnesses against any dependent, the complement of HOLDS.
+    inside a predicate fan out into a conjunction of single-rhs predicates.
+    NOT HOLDS is NOT over HOLDS, so by De Morgan it becomes a disjunction:
+    the witnesses against any dependent, the complement of HOLDS.
     """
     ts = TokenStream(text)
     ts.expect_kw("SELECT")
@@ -250,13 +224,13 @@ def parse_extended_select(text: str) -> ExtendedSelect:
     elif ts.accept_kw("DEPENDENT"):
         ts.expect_punct("(")
         ts.expect_punct("[")
-        attrs = _parse_name_list(ts)
+        attrs = ts.expect_strings("a quoted attribute name")
         ts.expect_punct("]")
         error = _parse_error_bound(ts, "=")
         ts.expect_punct(")")
         projection = DependentProjection(attrs, error)
     else:
-        projection = ColumnProjection(_parse_name_list(ts))
+        projection = ColumnProjection(ts.expect_strings("a quoted attribute name"))
     ts.expect_kw("FROM")
     source = ts.expect_ident("a table name")
     where = None
@@ -270,7 +244,7 @@ def parse_extended_select(text: str) -> ExtendedSelect:
 
 def _literal_to_text(value: Value) -> str:
     if isinstance(value, str):
-        return f"'{value}'"
+        return quoted(value, "'")
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Decimal):
@@ -281,15 +255,14 @@ def _literal_to_text(value: Value) -> str:
 
 def _leaf_to_text(node) -> str:
     if isinstance(node, Comparison):
-        return f'"{node.attribute}" {node.op} {_literal_to_text(node.constant)}'
+        return f"{quoted(node.attribute)} {node.op} {_literal_to_text(node.constant)}"
     if isinstance(node, FdPredicate):
         return _fd_predicate_to_text(node)
     raise TypeError(f"not a condition node: {node!r}")
 
 
 def _fd_predicate_to_text(pred: FdPredicate) -> str:
-    lhs = ", ".join(f'"{a}"' for a in pred.lhs)
-    body = f'{lhs} -> "{pred.rhs}"'
+    body = f"{', '.join(map(quoted, pred.lhs))} -> {quoted(pred.rhs)}"
     if pred.on is not None:
         body += f" ON {condition_to_text(pred.on, _leaf_to_text)}"
     if pred.kind == "holds":
@@ -301,7 +274,7 @@ def _fd_predicate_to_text(pred: FdPredicate) -> str:
     if pred.kind == "violates":
         if pred.error is not None:
             body += f", ERROR <= {pred.error!r}"
-        return f'"{pred.suspect}" VIOLATES ({body})'
+        return f"{quoted(pred.suspect)} VIOLATES ({body})"
     raise TypeError(f"unknown predicate kind {pred.kind!r}")
 
 
@@ -310,10 +283,9 @@ def select_to_text(ast: ExtendedSelect) -> str:
     if isinstance(ast.projection, StarProjection):
         proj = "*"
     elif isinstance(ast.projection, ColumnProjection):
-        proj = ", ".join(f'"{n}"' for n in ast.projection.names)
+        proj = ", ".join(map(quoted, ast.projection.names))
     else:
-        attrs = ", ".join(f'"{a}"' for a in ast.projection.attributes)
-        proj = f"DEPENDENT ([{attrs}]"
+        proj = f"DEPENDENT ([{', '.join(map(quoted, ast.projection.attributes))}]"
         if ast.projection.error is not None:
             proj += f", ERROR = {ast.projection.error!r}"
         proj += ")"

@@ -50,7 +50,7 @@ from .errors import (
     NameResolutionError,
     SchemaError,
 )
-from .tokens import NUMBER, TokenStream
+from .tokens import COMPARISONS, NUMBER, TokenStream
 
 Value = Union[int, Decimal, str, None]
 
@@ -559,14 +559,9 @@ def eval_condition(node, leaf, universe: Iterable) -> set:
     return leaf(node)
 
 
-COMPARISON_OPS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+COMPARISON_OPS = dict(zip(COMPARISONS, (
+    operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge
+)))
 
 
 def check_comparable(kind: str, constant: Value) -> None:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Sequence, Union
 
-from .tokens import TokenStream
+from .tokens import TokenStream, quoted
 
 
 @dataclass(frozen=True)
@@ -142,19 +142,13 @@ def parse_set_expr(ts: TokenStream, allow_lhs_forms: bool = False) -> SetExpr:
         LHS  := S | '[' AND S ']' | '[' OR S ']'
     The bracketed forms appear only when `allow_lhs_forms` is set.
     """
-    tok = ts.peek()
-    if tok.kind == "punct" and tok.text == "{":
-        ts.advance()
-        patterns = [ts.expect_string("a glob pattern").value]
-        while ts.accept_punct(","):
-            patterns.append(ts.expect_string("a glob pattern").value)
+    if ts.accept_punct("{"):
+        patterns = ts.expect_strings("a glob pattern")
         ts.expect_punct("}")
-        return GlobList(tuple(patterns))
-    if tok.kind == "punct" and tok.text == "*":
-        ts.advance()
+        return GlobList(patterns)
+    if ts.accept_punct("*"):
         return Star()
-    if tok.kind == "punct" and tok.text == "[" and allow_lhs_forms:
-        ts.advance()
+    if allow_lhs_forms and ts.accept_punct("["):
         if ts.accept_kw("AND"):
             node: SetExpr = AllOf(parse_set_expr(ts))
         elif ts.accept_kw("OR"):
@@ -163,32 +157,27 @@ def parse_set_expr(ts: TokenStream, allow_lhs_forms: bool = False) -> SetExpr:
             raise ts.error("expected AND or OR after '['")
         ts.expect_punct("]")
         return node
-    if tok.kind == "punct" and tok.text == "(":
-        ts.advance()
+    if ts.accept_punct("("):
         if ts.peek().kind == "string":
-            patterns = [ts.advance().value]
-            while ts.accept_punct(","):
-                patterns.append(ts.expect_string("a glob pattern").value)
+            patterns = ts.expect_strings("a glob pattern")
             ts.expect_punct(")")
-            return GlobList(tuple(patterns))
+            return GlobList(patterns)
         left = parse_set_expr(ts, allow_lhs_forms)
         if ts.accept_punct(")"):
             return left  # redundant parens around a single subset
-        op_tok = ts.peek()
-        if op_tok.kind == "punct" and op_tok.text in {"+", "-"}:
-            ts.advance()
-        else:
+        op = ts.peek().text
+        if not (ts.accept_punct("+") or ts.accept_punct("-")):
             raise ts.error("expected '+' or '-' between subset expressions")
         right = parse_set_expr(ts, allow_lhs_forms)
         ts.expect_punct(")")
-        return Combine(op_tok.text, left, right)
+        return Combine(op, left, right)
     raise ts.error("expected a subset expression")
 
 
 def set_expr_to_text(expr: SetExpr) -> str:
     """Canonical text form; parsing it back yields an equal expression."""
     if isinstance(expr, GlobList):
-        return "{" + ", ".join(f'"{p}"' for p in expr.patterns) + "}"
+        return "{" + ", ".join(map(quoted, expr.patterns)) + "}"
     if isinstance(expr, Star):
         return "*"
     if isinstance(expr, Combine):

@@ -6,8 +6,9 @@ everywhere. `STRING`, `COMMENT` and `NUMBER` are the one spelling of what a
 string, a comment and a number look like: the scanner is built from them,
 the statement reader cuts scripts with the first two, and CSV ingest reads
 a decimal cell as a signed `NUMBER`. `--` starts a line comment. Double and
-single quoted strings carry no escape sequences; numbers without a dot or
-exponent become int, everything else Decimal.
+single quoted strings carry no escape sequences, so `quoted` writes a text
+in a mark it lacks; numbers without a dot or exponent become int,
+everything else Decimal.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import ParseError
 STRING = r""""[^"\n]*"|'[^'\n]*'"""
 COMMENT = r"--[^\n]*"
 NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 
 _TOKEN_RE = re.compile(
     rf"""
@@ -74,6 +76,14 @@ def tokenize(text: str) -> list[Token]:
         i = m.end()
     tokens.append(Token("end", "", None, len(text) + 1))
     return tokens
+
+
+def quoted(text: str, mark: str = '"') -> str:
+    """`text` as a string token: in `mark`, or in the other quote mark when
+    it holds `mark`. No string token's text holds both."""
+    if mark in text:
+        mark = "'" if mark == '"' else '"'
+    return f"{mark}{text}{mark}"
 
 
 def statement_parser(parse):
@@ -148,6 +158,18 @@ class TokenStream:
 
     def expect_string(self, what: str = "quoted name") -> Token:
         return self._take(self.peek().kind == "string", what)
+
+    def expect_strings(self, what: str) -> tuple[str, ...]:
+        """A comma list of one or more strings: their texts."""
+        texts = [self.expect_string(what).value]
+        while self.accept_punct(","):
+            texts.append(self.expect_string(what).value)
+        return tuple(texts)
+
+    def expect_comparison(self) -> str:
+        tok = self.peek()
+        ok = tok.kind == "punct" and tok.text in COMPARISONS
+        return self._take(ok, "a comparison operator").text
 
     def expect_number(self) -> Token:
         return self._take(self.peek().kind == "number", "a number")

@@ -28,7 +28,7 @@ from fdq.cli import (
 )
 from fdq.errors import KindMismatchError, NameResolutionError, ParseError, SchemaError
 from fdq.fdstore import load_fdset
-from fdq.query import execute, parse_extended_select
+from fdq.query import execute, parse_extended_select, select_to_text
 from fdq.relation import Relation
 from fdq.result import ResultTable
 from fdq.tokens import tokenize
@@ -812,6 +812,70 @@ class TestExplain:
             run_command(session, statement)
         assert info.value.pos == statement.index("FOO") + 1
 
+    def test_statement_line_parses_back_whatever_marks_the_texts_hold(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "t.csv").write_text(
+            'a,"say ""hi""",c\n1,2,x\n1,3,it\'s\n', encoding="utf-8"
+        )
+        statement = (
+            "SELECT 'say \"hi\"' FROM T WHERE HOLDS ('say \"hi\"' -> \"a\") "
+            "AND [\"c\" = \"it's\"]"
+        )
+        script = f"LOAD 't.csv' AS T; EXPLAIN {statement};"
+        assert main(["exec", "--data-dir", str(tmp_path), "-c", script]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed = lines[1].removeprefix("statement: ")
+        assert printed == (
+            "SELECT 'say \"hi\"' FROM T WHERE HOLDS ('say \"hi\"' -> \"a\") "
+            "AND \"c\" = \"it's\""
+        )
+        assert parse_extended_select(printed) == parse_extended_select(statement)
+        assert lines[2] == (
+            "  evaluate HOLDS ('say \"hi\"' -> \"a\") against the whole table"
+        )
+
+
+class TestRowConditions:
+    """ON scopes and UPDATE's WHERE read WHERE items, comparisons only."""
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            'HOLDS ("Zip" -> "Pack")',
+            'NOT HOLDS ("Zip" -> "Pack")',
+            '"Zip" VIOLATES ("Zip" -> "Pack")',
+            'NOT (HOLDS ("Zip" -> "Pack"))',
+        ],
+        ids=["holds", "not-holds", "violates", "not-over-holds"],
+    )
+    @pytest.mark.parametrize(
+        "prefix, suffix, column",
+        [
+            (
+                'SELECT * FROM IOWA WHERE HOLDS ("Zip" -> "Pack" '
+                'ON ["BtlVol" >= 750] AND ',
+                ")",
+                74,
+            ),
+            ('UPDATE IOWA SET "Pack" = 12 WHERE ["Zip" = 52001] OR ', "", 54),
+        ],
+        ids=["on", "update"],
+    )
+    def test_a_dependency_predicate_is_refused_at_its_first_token(
+        self, capsys, predicate, prefix, suffix, column
+    ):
+        text = prefix + predicate + suffix
+        assert column == len(prefix) + 1
+        parse = parse_extended_select if suffix else fdq.cli._parse_update
+        with pytest.raises(ParseError, match="comparisons only") as info:
+            parse(text)
+        assert info.value.pos == column
+        assert main(["exec", "-c", f"{text};"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: col {column}: a row condition takes comparisons only\n"
+        )
+
 
 class TestScriptsAndRepl:
     SCRIPT = (
@@ -1195,10 +1259,11 @@ FUZZ_PUNCT = (
 )
 FUZZ_LITERALS = (
     '"Zip"', '"Address"', '"Pack"', '"Category*"', '"nope"', "'HWY 71'",
-    "0", "1", "-3", "0.05", "750", "1e400",
+    "0", "1", "-3", "0.05", "750", "1e400", '"it\'s"', "'say \"hi\"'",
 )
 FUZZ_PREFIXES = (
     "SELECT * FROM IOWA WHERE ",
+    'SELECT * FROM IOWA WHERE HOLDS ("Zip" -> "Pack" ON ',
     "SELECTDEP * FROM fs WHERE ",
     "MINEFD g AS SELECT LHS -> RHS WHERE ",
     "UPDATE IOWA SET ",
@@ -1278,6 +1343,15 @@ def run_fuzzed(script: str) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def assert_select_prints_back(text: str) -> None:
+    """If `text` parses as a SELECT, its printed form parses to the same tree."""
+    try:
+        ast = parse_extended_select(text)
+    except ParseError:
+        return
+    assert parse_extended_select(select_to_text(ast)) == ast
+
+
 class TestFuzz:
     @fuzz
     @given(st.sampled_from(FUZZ_PREFIXES), token_soup)
@@ -1285,6 +1359,7 @@ class TestFuzz:
         code, err = run_fuzzed(prefix + soup)
         assert code in (0, 1)
         assert "internal error" not in err
+        assert_select_prints_back(prefix + soup)
 
     def test_valid_statements_run(self):
         for statement in VALID_STATEMENTS:
@@ -1296,6 +1371,7 @@ class TestFuzz:
         code, err = run_fuzzed(statement)
         assert code in (0, 1)
         assert "internal error" not in err
+        assert_select_prints_back(statement)
 
     @fuzz
     @given(st.sampled_from(("LOAD '{}' AS T;", "IMPORT '{}' AS g;")), file_bytes)

@@ -142,7 +142,10 @@ def fdsets(draw, names=NAMES, set_names=("fs", "prev", "night_run")):
     )
 
 
-glob_patterns = st.sampled_from(("A", "B", "E", "*", "A*", "*B", "*o*", "Cat*"))
+# a pattern holding `"` prints in single quotes
+glob_patterns = st.sampled_from(
+    ("A", "B", "E", "*", "A*", "*B", "*o*", "Cat*", 'say "hi"*')
+)
 glob_lists = st.lists(glob_patterns, min_size=1, max_size=3).map(
     lambda ps: GlobList(tuple(ps))
 )
@@ -187,8 +190,11 @@ fdml_queries = st.builds(
     where=st.none() | fdml_conditions,
 )
 
-attr_names = st.sampled_from(NAMES)
-constants = st.integers(-3, 20) | st.sampled_from(("x", "long value", "SCOTCH"))
+# a name holding `"` and a constant holding `'` print in the other mark
+attr_names = st.sampled_from((*NAMES, 'say "hi"'))
+constants = st.integers(-3, 20) | st.sampled_from(
+    ("x", "long value", "SCOTCH", "it's")
+)
 comparisons = st.builds(
     Comparison,
     attribute=attr_names,

@@ -203,8 +203,9 @@ class TestParse:
         [
             '(HOLDS ("Address" -> "Zip", "Pack", ERROR = 0.1))',
             '(HOLDS ("Address" -> "Zip") AND ["Pack" = 12])',
+            'HOLDS ("Address" -> "Zip", ERROR = 0.1)',
         ],
-        ids=["approximate", "mixed"],
+        ids=["approximate", "mixed", "not-holds-with-a-bound"],
     )
     def test_rejected_not_points_at_the_not(self, negated):
         text = f'SELECT "Zip" FROM IOWA WHERE NOT {negated}'
