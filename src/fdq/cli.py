@@ -38,13 +38,11 @@ from .fdstore import (
 )
 from .miner import execute_minefd, parse_minefd
 from .query import (
-    FdPredicate,
     execute,
+    explain_select,
     parse_extended_select,
     parse_literal,
     parse_row_condition,
-    select_to_text,
-    _fd_predicate_to_text,
 )
 from .relation import (
     DECIMAL,
@@ -53,7 +51,6 @@ from .relation import (
     eval_row_predicate,
     holds_kind,
     load_csv,
-    walk,
 )
 from .result import ResultTable, format_cell
 from .tokens import COMMENT, STRING, TokenStream, statement_parser
@@ -362,19 +359,7 @@ def _run_explain(session: Session, line: str) -> str:
     # blank the keyword rather than cut it, so error columns match the input
     ast = parse_extended_select(" " * len("EXPLAIN") + line[len("EXPLAIN") :])
     _get_relation(session, ast.source)
-    lines = [f"statement: {select_to_text(ast)}"]
-    preds = [node for node in walk(ast.where) if isinstance(node, FdPredicate)]
-    for pred in preds:
-        scope = "its ON scope" if pred.on is not None else "the whole table"
-        lines.append(f"  evaluate {_fd_predicate_to_text(pred)} against {scope}")
-    if preds:
-        lines.append(
-            "note: dependency predicates run first; row filters combine "
-            "with their results by set algebra, so written order is immaterial"
-        )
-    else:
-        lines.append("note: plain row filters only")
-    return "\n".join(lines)
+    return explain_select(ast)
 
 
 def _entry_line(entry: FDEntry) -> str:

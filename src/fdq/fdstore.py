@@ -8,7 +8,9 @@ Address. Closure and implication work on the exact entries only.
 
 The on-disk format is JSON lines: one header record, then one record per
 entry. It round-trips byte-identically and is easy for other tools to
-emit.
+emit. IMPORT checks JSON syntax, field types and repeated entries, naming
+the line; `FDEntry` owns every other rule of an entry. A bad file, numbers
+out of range included, is a ParseError (exit 1).
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ class FDEntry:
             raise ContractError("trivial dependency: rhs inside lhs")
         if not 0.0 <= self.error < 1.0:
             raise ContractError(f"error {self.error} outside [0, 1)")
+        # a float, and a zero one positive, so it prints and exports as 0.0
+        object.__setattr__(self, "error", float(abs(self.error)))
 
     @property
     def key(self) -> tuple[tuple[str, ...], str]:
@@ -364,12 +368,30 @@ def dumps_fdset(fdset: FDSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_fdset(text: str) -> FDSet:
-    """Parse the JSON-lines form. Header first, then entry records.
+# each field's JSON type, and the words that name it in an error
+_FIELDS = {
+    **dict.fromkeys(("fdset", "table", "mined_at", "rhs", "origin"), (str, "a string")),
+    "fingerprint": (int, "an integer"),
+    "lhs": (list, "a list of strings"),
+    "error": ((int, float), "a number"),
+}
 
-    Field types are checked, so a mistyped field is a ParseError rather
-    than a crash or a silent misread (a string determinant is not split
-    into characters)."""
+
+def _field(record: dict, name: str, default, lineno: int):
+    """A record's field, or `default` where it is absent, of its JSON type."""
+    value = record.get(name, default)
+    kind, noun = _FIELDS[name]
+    typed = isinstance(value, kind) and not isinstance(value, bool)
+    if not typed or kind is list and not all(isinstance(a, str) for a in value):
+        raise ParseError(f"line {lineno}: {name!r} must be {noun}")
+    return value
+
+
+def loads_fdset(text: str) -> FDSet:
+    """Parse the JSON-lines form: a header record, then entry records. Only
+    JSON syntax, field types (a string determinant is not split into
+    characters) and repeated entries are checked here, each refusal a
+    ParseError naming its line; `FDEntry` checks the rest."""
     header = None
     entries: list[FDEntry] = []
     first_line: dict[tuple[tuple[str, ...], str], int] = {}
@@ -382,6 +404,9 @@ def loads_fdset(text: str) -> FDSet:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+        except ValueError:
+            # an integer of more digits than int() converts
+            raise ParseError(f"line {lineno}: number out of range") from None
         except RecursionError:
             raise ParseError(f"line {lineno}: JSON nests too deeply") from None
         if not isinstance(record, dict):
@@ -389,55 +414,30 @@ def loads_fdset(text: str) -> FDSet:
         if header is None:
             if "fdset" not in record:
                 raise ParseError(f"line {lineno}: first record must carry 'fdset'")
-            header = record
-            continue
-        if "lhs" not in record or "rhs" not in record:
-            raise ParseError(f"line {lineno}: entry needs 'lhs' and 'rhs'")
-        lhs, rhs = record["lhs"], record["rhs"]
-        if not (
-            isinstance(lhs, list) and lhs and all(isinstance(a, str) for a in lhs)
-        ):
-            raise ParseError(f"line {lineno}: 'lhs' must be a non-empty list of names")
-        if not isinstance(rhs, str):
-            raise ParseError(f"line {lineno}: 'rhs' must be a name")
-        if len(set(lhs)) != len(lhs):
-            raise ParseError(f"line {lineno}: duplicate attribute in 'lhs'")
-        if rhs in lhs:
-            raise ParseError(f"line {lineno}: trivial dependency, 'rhs' inside 'lhs'")
-        key = (tuple(sorted(lhs)), rhs)
-        if key in first_line:
-            raise ParseError(
-                f"line {lineno}: repeats the dependency of line {first_line[key]}"
+            header = partial(
+                FDSet,
+                name=_field(record, "fdset", "", lineno),
+                table_binding=_field(record, "table", "", lineno),
+                table_fingerprint=_field(record, "fingerprint", 0, lineno),
+                mined_at=_field(record, "mined_at", "", lineno),
             )
-        first_line[key] = lineno
-        error = record.get("error", 0.0)
-        if (
-            isinstance(error, bool)
-            or not isinstance(error, (int, float))
-            or not 0.0 <= error < 1.0
-        ):
-            raise ParseError(f"line {lineno}: 'error' must be a number in [0, 1)")
-        origin = record.get("origin", IMPORTED)
-        if not isinstance(origin, str):
-            raise ParseError(f"line {lineno}: 'origin' must be a string")
-        entries.append(
-            FDEntry(lhs=key[0], rhs=rhs, error=float(error), origin=origin)
-        )
+            continue
+        try:
+            entry = FDEntry(
+                tuple(sorted(_field(record, "lhs", None, lineno))),
+                _field(record, "rhs", None, lineno),
+                _field(record, "error", 0.0, lineno),
+                _field(record, "origin", IMPORTED, lineno),
+            )
+        except ContractError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        first = first_line.setdefault(entry.key, lineno)
+        if first != lineno:
+            raise ParseError(f"line {lineno}: repeats the dependency of line {first}")
+        entries.append(entry)
     if header is None:
         raise ParseError("no header record found")
-    fingerprint = header.get("fingerprint", 0)
-    if isinstance(fingerprint, bool) or not isinstance(fingerprint, int):
-        raise ParseError("header 'fingerprint' must be an integer")
-    for field in ("fdset", "table", "mined_at"):
-        if not isinstance(header.get(field, ""), str):
-            raise ParseError(f"header {field!r} must be a string")
-    return FDSet(
-        name=header.get("fdset", ""),
-        table_binding=header.get("table", ""),
-        table_fingerprint=fingerprint,
-        entries=tuple(entries),
-        mined_at=header.get("mined_at", ""),
-    )
+    return header(entries=tuple(entries))
 
 
 def save_fdset(fdset: FDSet, path) -> None:

@@ -295,6 +295,23 @@ def select_to_text(ast: ExtendedSelect) -> str:
     return text
 
 
+def explain_select(ast: ExtendedSelect) -> str:
+    """EXPLAIN's plan: the statement, each dependency predicate and the
+    rows it runs against, and how the WHERE tree combines the results."""
+    lines = [f"statement: {select_to_text(ast)}"]
+    preds = [node for node in walk(ast.where) if isinstance(node, FdPredicate)]
+    for pred in preds:
+        scope = "its ON scope" if pred.on is not None else "the whole table"
+        lines.append(f"  evaluate {_fd_predicate_to_text(pred)} against {scope}")
+    lines.append(
+        "note: dependency predicates run first; row filters combine "
+        "with their results by set algebra, so written order is immaterial"
+        if preds
+        else "note: plain row filters only"
+    )
+    return "\n".join(lines)
+
+
 # --- evaluation ---------------------------------------------------------------
 
 def _resolve(relation: Relation, names: Sequence[str]) -> list[int]:
@@ -446,7 +463,7 @@ def eval_violates(
     suspect: str,
     lhs: Sequence[str],
     rhs: str,
-    threshold: float = DEFAULT_VIOLATION_THRESHOLD,
+    threshold: float | None = None,
 ) -> set[int]:
     """Rows whose suspect value clashes with a nearby alternative.
 
@@ -457,6 +474,7 @@ def eval_violates(
     """
     if suspect not in lhs:
         raise ContractError(f"suspect {suspect!r} must be part of the determinant")
+    threshold = DEFAULT_VIOLATION_THRESHOLD if threshold is None else threshold
     if threshold < 0:
         raise ParameterError(f"distance threshold {threshold} is negative")
     suspect_meta = relation.attribute(suspect)
@@ -531,12 +549,7 @@ def _where_leaf_rows(relation: Relation, node) -> set[int]:
         if node.kind == "not_holds":
             return eval_not_holds(relation, node.lhs, node.rhs, node.on)
         if node.kind == "violates":
-            threshold = (
-                node.error if node.error is not None else DEFAULT_VIOLATION_THRESHOLD
-            )
-            return eval_violates(
-                relation, node.suspect, node.lhs, node.rhs, threshold
-            )
+            return eval_violates(relation, node.suspect, node.lhs, node.rhs, node.error)
         raise ContractError(f"unknown predicate kind {node.kind!r}")
     raise TypeError(f"not a where node: {node!r}")
 

@@ -756,6 +756,44 @@ class TestImportExport:
         assert code == 1
         assert "line 2" in err and "internal error" not in err
 
+    # more digits than Python's int() converts
+    HUGE = "9" * 5000
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (f'{{"fdset":"fs","table":"IOWA","fingerprint":{HUGE}}}\n', 1),
+            (f'{HEADER}\n{{"lhs":["Zip"],"rhs":"Pack","error":{HUGE}}}\n', 2),
+        ],
+        ids=["fingerprint", "error"],
+    )
+    def test_number_past_the_int_limit_is_a_user_error(
+        self, tmp_path, capsys, text, line
+    ):
+        (tmp_path / "big.fdset").write_text(text, encoding="utf-8")
+        code = main(
+            ["exec", "--data-dir", str(tmp_path), "-c", "IMPORT 'big.fdset' AS fs;"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: line {line}: number out of range\n"
+
+    def test_negative_zero_error_reads_prints_and_exports_as_zero(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "in.fdset").write_text(
+            f'{self.HEADER}\n{{"lhs":["Zip"],"rhs":"Pack","error":-0.0}}\n',
+            encoding="utf-8",
+        )
+        script = (
+            "IMPORT 'in.fdset' AS fs; SELECTDEP * FROM fs; EXPORT fs TO 'out.fdset';"
+        )
+        assert main(["exec", "--data-dir", str(tmp_path), "-c", script]) == 0
+        assert capsys.readouterr().out.splitlines()[3] == "Zip | Pack | 0.0"
+        exported = (tmp_path / "out.fdset").read_text(encoding="utf-8")
+        assert exported.splitlines()[1] == (
+            '{"error":0.0,"lhs":["Zip"],"origin":"imported","rhs":"Pack"}'
+        )
+
     @pytest.mark.parametrize(
         "statement, content",
         [

@@ -55,6 +55,21 @@ def test_modules_import_only_earlier_layers():
     assert upward == {}
 
 
+def test_no_module_imports_another_modules_private_names():
+    """A `_` name belongs to its module: a rule that another layer needs is
+    served under a public name, so each rule keeps one owner."""
+    borrowed = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").startswith("fdq")
+            ):
+                names = [a.name for a in node.names if a.name.startswith("_")]
+                if names:
+                    borrowed.setdefault(path.stem, []).extend(names)
+    assert borrowed == {}
+
+
 def test_starting_the_cli_loads_no_module_only_some_statements_need():
     """Every start pays for what `fdq.cli` imports: `datetime` only gave the
     MINEFD clock its text, `fractions` only the distance of two numbers, and

@@ -3,10 +3,11 @@ statements. Every law here is one the rest of the suite relies on pointwise;
 the generators shake out the shapes the golden tests do not reach."""
 
 import decimal
+import json
 from collections import Counter
 from decimal import Decimal
 from itertools import chain
-from math import inf
+from math import copysign, inf
 from operator import add, eq, ge, gt, le, lt, mul, ne
 from unittest import mock
 
@@ -953,6 +954,73 @@ def test_closure_is_monotone(fdset, x, y):
     )
 )
 def test_fdset_serialization_round_trips(fdset):
+    assert loads_fdset(dumps_fdset(fdset)) == fdset
+
+
+# a JSON integer of more digits than int() converts: json.dumps cannot
+# write one, so this marker stands in for it until the text is written
+HUGE = "<huge int>"
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # NaN and the infinities too, which json writes
+    | st.sampled_from([-0.0, HUGE])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(NAMES), inner, max_size=2),
+    max_leaves=6,
+)
+ABSENT = object()
+HEADER_FIELDS = {
+    "fdset": st.text(max_size=3),
+    "table": st.sampled_from(NAMES),
+    "fingerprint": st.integers(),
+    "mined_at": st.text(max_size=3),
+}
+ENTRY_FIELDS = {
+    "lhs": st.lists(st.sampled_from(NAMES), min_size=1, max_size=3),
+    # mostly a name no determinant holds, so few entries are trivial
+    "rhs": st.sampled_from(("F", "G", "A")),
+    "error": st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([-0.0, 1.0]),
+    "origin": st.sampled_from(["mined", "imported"]),
+}
+
+
+@st.composite
+def fdset_texts(draw):
+    """A header and entry records whose fields take values of their types,
+    but for at most one field or line, which is absent or any JSON value."""
+    lines = [draw(st.fixed_dictionaries(HEADER_FIELDS))]
+    lines += draw(st.lists(st.fixed_dictionaries(ENTRY_FIELDS), max_size=4))
+    spot = draw(st.none() | st.integers(0, len(lines) - 1))
+    if spot is not None:
+        field = draw(st.none() | st.sampled_from(list(lines[spot])))
+        odd = draw(st.just(ABSENT) | json_values)
+        record = lines if field is None else lines[spot]
+        key = spot if field is None else field
+        if odd is ABSENT:
+            del record[key]
+        else:
+            record[key] = odd
+    text = "\n".join(json.dumps(line, ensure_ascii=False) for line in lines)
+    return text.replace(json.dumps(HUGE), "9" * 5000)
+
+
+@common
+@given(fdset_texts())
+@example('{"fdset":"x","table":"T","fingerprint":' + "9" * 5000 + "}")
+@example('{"fdset":"x","table":"T"}\n{"lhs":["A"],"rhs":"B","error":-0.0}')
+def test_loader_refuses_a_text_or_reads_a_set_that_round_trips(text):
+    """Whatever JSON a file holds, IMPORT refuses it with a ParseError or
+    reads entries whose errors are positive floats in [0, 1)."""
+    try:
+        fdset = loads_fdset(text)
+    except ParseError:
+        return
+    for entry in fdset.entries:
+        assert type(entry.error) is float and 0.0 <= entry.error < 1.0
+        assert copysign(1.0, entry.error) == 1.0
     assert loads_fdset(dumps_fdset(fdset)) == fdset
 
 

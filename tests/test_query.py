@@ -22,6 +22,7 @@ from fdq.query import (
     eval_not_holds,
     eval_violates,
     execute,
+    explain_select,
     parse_extended_select,
     select_to_text,
     value_distance,
@@ -293,6 +294,24 @@ class TestPrint:
         ast = parse_extended_select(f'SELECT * FROM t WHERE "c" = {literal}')
         assert select_to_text(ast) == f'SELECT * FROM t WHERE "c" = {printed}'
         assert parse_extended_select(select_to_text(ast)) == ast
+
+
+    def test_explain_names_each_predicate_and_the_rows_it_runs_against(self):
+        holds = (
+            'HOLDS ("Category", "BtlVol" -> "CategoryName" ON "BtlVol" >= 750 '
+            "AND (\"Category\" = 11200 OR \"CategoryName\" = 'SCOTCH'))"
+        )
+        ast = parse_extended_select(SCOPED_HOLDS + ' AND ["Pack" = 12]')
+        assert explain_select(ast).splitlines() == [
+            'statement: SELECT "Category", "BtlVol", "CategoryName" FROM IOWA '
+            f'WHERE {holds} AND "Pack" = 12',
+            f"  evaluate {holds} against its ON scope",
+            "note: dependency predicates run first; row filters combine "
+            "with their results by set algebra, so written order is immaterial",
+        ]
+        assert explain_select(parse_extended_select('SELECT "Zip" FROM IOWA')) == (
+            'statement: SELECT "Zip" FROM IOWA\nnote: plain row filters only'
+        )
 
 
 class TestEvalHolds:
