@@ -23,6 +23,7 @@ _EXPORTS = {
     "cli": "Session render run_command",
     "setexpr": "",
     "tokens": "",
+    "record": "",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

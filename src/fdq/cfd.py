@@ -11,19 +11,18 @@ matching, support and confidence read cells alike.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence, Union
 
 from .errors import ContractError
 from .partition import partition_of
+from .record import Record
 from .relation import And, Comparison, Relation, eval_row_predicate
 
 Cell = Union[None, tuple]  # None is a wildcard; otherwise (op, constant)
 
 
-@dataclass(frozen=True)
-class PatternTableau:
+class PatternTableau(Record):
     """Rows of per-attribute cells; a cell is a wildcard or (op, constant)."""
 
     attributes: tuple[str, ...]
@@ -42,8 +41,7 @@ class PatternTableau:
                     raise ContractError("a cell is None or an (op, constant) pair")
 
 
-@dataclass(frozen=True)
-class CFD:
+class CFD(Record):
     """A dependency embedded with a pattern tableau restricted to it."""
 
     lhs: tuple[str, ...]

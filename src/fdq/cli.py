@@ -13,12 +13,11 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import partial
 from itertools import repeat
 from operator import itemgetter, methodcaller
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     FdqError,
@@ -84,15 +83,13 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-@dataclass
 class Session:
-    relations: dict[str, Relation] = field(default_factory=dict)
-    fdsets: dict[str, FDSet] = field(default_factory=dict)
-    output_mode: str = "table"
-    null_token: str = ""
-    threads: int = 1
-    data_dir: str = ""
-    clock: Callable[[], str] = _utc_now
+    def __init__(self, relations=None, fdsets=None, output_mode="table",
+                 null_token="", threads=1, data_dir="", clock=_utc_now):
+        self.relations: dict[str, Relation] = {} if relations is None else relations
+        self.fdsets: dict[str, FDSet] = {} if fdsets is None else fdsets
+        self.output_mode, self.null_token = output_mode, null_token
+        self.threads, self.data_dir, self.clock = threads, data_dir, clock
 
 
 # --- rendering ------------------------------------------------------------------
@@ -599,7 +596,7 @@ def main(argv=None) -> int:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     else:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, Sequence
 
@@ -28,6 +27,7 @@ from .errors import (
     ParseError,
     UnsupportedOperationError,
 )
+from .record import Record, replace
 from .relation import (
     COMPARISON_OPS,
     And,
@@ -49,8 +49,7 @@ MINED = "mined"
 IMPORTED = "imported"
 
 
-@dataclass(frozen=True)
-class FDEntry:
+class FDEntry(Record):
     """One dependency: sorted determinant, dependent attribute, error, origin."""
 
     lhs: tuple[str, ...]
@@ -81,8 +80,7 @@ def canonical_key(entry: FDEntry):
     return (len(entry.lhs), entry.lhs, entry.rhs)
 
 
-@dataclass(frozen=True)
-class FDSet:
+class FDSet(Record):
     name: str
     table_binding: str
     table_fingerprint: int
@@ -105,18 +103,15 @@ class FDSet:
 
 # --- dependency query language ----------------------------------------------
 
-@dataclass(frozen=True)
-class LhsLike:
+class LhsLike(Record):
     expr: SetExpr
 
 
-@dataclass(frozen=True)
-class RhsLike:
+class RhsLike(Record):
     expr: SetExpr
 
 
-@dataclass(frozen=True)
-class LhsLength:
+class LhsLength(Record):
     """`LHS LENGTH <op> <length>`, shared by SELECTDEP and MINEFD."""
 
     op: str  # = != < <= > >=
@@ -135,13 +130,11 @@ def parse_lhs_length(ts: TokenStream) -> LhsLength:
     return LhsLength(op, num.value)
 
 
-@dataclass(frozen=True)
-class ErrorLeq:
+class ErrorLeq(Record):
     threshold: float
 
 
-@dataclass(frozen=True)
-class FdmlQuery:
+class FdmlQuery(Record):
     projection: str  # "star" (lhs, rhs, error) or "pairs" (lhs, rhs)
     source: str
     where: object | None = None  # And/Or tree over the atoms above
@@ -382,7 +375,12 @@ def _field(record: dict, name: str, default, lineno: int):
     value = record.get(name, default)
     kind, noun = _FIELDS[name]
     typed = isinstance(value, kind) and not isinstance(value, bool)
-    if not typed or kind is list and not all(isinstance(a, str) for a in value):
+    if typed and kind in (str, list):
+        try:  # no UTF-8 output holds a lone surrogate, as JSON's "\ud800" gives
+            "".join([value] if kind is str else value).encode("utf-8")
+        except (TypeError, UnicodeEncodeError):  # or a list item not a string
+            typed = False
+    if not typed:
         raise ParseError(f"line {lineno}: {name!r} must be {noun}")
     return value
 
@@ -441,9 +439,10 @@ def loads_fdset(text: str) -> FDSet:
 
 
 def save_fdset(fdset: FDSet, path) -> None:
+    data = dumps_fdset(fdset).encode("utf-8")  # before the file exists
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dumps_fdset(fdset))
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise IngestError(f"cannot write {os.fspath(path)!r}: {exc.strerror}") from exc
 
@@ -462,8 +461,5 @@ def load_fdset(path) -> FDSet:
 def import_fdset(path, name: str | None = None) -> FDSet:
     """Load a file produced elsewhere: every entry is stamped as imported."""
     fdset = load_fdset(path)
-    return replace(
-        fdset,
-        name=name if name is not None else fdset.name,
-        entries=tuple(replace(e, origin=IMPORTED) for e in fdset.entries),
-    )
+    entries = tuple(replace(e, origin=IMPORTED) for e in fdset.entries)
+    return replace(fdset, name=fdset.name if name is None else name, entries=entries)

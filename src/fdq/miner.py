@@ -61,7 +61,6 @@ agree with the brute-force reference miner in `tests/oracle.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import NameResolutionError, ParameterError
@@ -77,13 +76,13 @@ from .fdstore import (
     parse_fdml_condition,
 )
 from .partition import PLI, build_pli, intersect, pair_errors, value_ids
+from .record import Record, replace
 from .relation import Or, Relation, walk
 from .setexpr import SetExpr, eval_subset_expr, literal_patterns
 from .tokens import TokenStream, statement_parser
 
 
-@dataclass(frozen=True)
-class MiningSpec:
+class MiningSpec(Record):
     """What to mine: determinant/dependent filters, size cap, error bound."""
 
     lhs_filter: SetExpr | None = None
@@ -291,8 +290,7 @@ def _smallest(subsets, level, singles) -> tuple[PLI, PLI]:
 
 # --- the MINEFD statement --------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinefdStatement:
+class MinefdStatement(Record):
     """Parsed `MINEFD <name> AS SELECT LHS -> RHS [, ERROR] [WHERE ...] FROM
     <table> [ERROR <bound>]`: the spec to mine, whose `max_lhs_len` is the
     tightest upper `LHS LENGTH` bound, and every `LHS LENGTH` atom, which

@@ -56,7 +56,6 @@ with each error whether it was counted to the end.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from math import inf
@@ -64,11 +63,11 @@ from operator import add, attrgetter, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError
+from .record import Record
 from .relation import Relation
 
 
-@dataclass(frozen=True)
-class PLI:
+class PLI(Record):
     """Clusters of >= 2 rows sharing a value tuple, over a known row count.
 
     Canonical form: each cluster ascending, clusters ordered by their
@@ -80,7 +79,8 @@ class PLI:
 
     clusters: tuple[tuple[int, ...], ...]
     relation_size: int
-    ids: list[int] | None = field(default=None, compare=False, repr=False)
+    ids: list[int] | None = None
+    _uncompared = ("ids",)
 
     @cached_property
     def covered(self) -> int:

@@ -16,7 +16,6 @@ last two taking comparisons only; NOT HOLDS is NOT over HOLDS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress, filterfalse
 from decimal import Decimal
@@ -25,6 +24,7 @@ from typing import Sequence, Union
 
 from .errors import ContractError, ParameterError
 from .partition import error_measure, partition_of, value_ids, violating_rows
+from .record import Record
 from .relation import (
     EXACT,
     And,
@@ -46,8 +46,7 @@ from .tokens import Token, TokenStream, is_kw, quoted, statement_parser
 
 DEFAULT_VIOLATION_THRESHOLD = 0.75
 
-@dataclass(frozen=True)
-class FdPredicate:
+class FdPredicate(Record):
     kind: str  # "holds" | "not_holds" | "violates"
     lhs: tuple[str, ...]
     rhs: str
@@ -56,18 +55,15 @@ class FdPredicate:
     suspect: str | None = None  # violates only
 
 
-@dataclass(frozen=True)
-class StarProjection:
+class StarProjection(Record):
     pass
 
 
-@dataclass(frozen=True)
-class ColumnProjection:
+class ColumnProjection(Record):
     names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DependentProjection:
+class DependentProjection(Record):
     attributes: tuple[str, ...]
     error: float | None = None
 
@@ -75,8 +71,7 @@ class DependentProjection:
 Projection = Union[StarProjection, ColumnProjection, DependentProjection]
 
 
-@dataclass(frozen=True)
-class ExtendedSelect:
+class ExtendedSelect(Record):
     projection: Projection
     source: str
     where: object | None = None  # tree over Comparison/FdPredicate leaves
@@ -136,12 +131,7 @@ def _parse_fd_body(ts: TokenStream, allow_on: bool, op: str):
     ts.expect_punct("->")
     # the rhs list ends at a comma not followed by a name (ERROR clause)
     rhs = [ts.expect_string("a quoted attribute name").value]
-    while (
-        ts.peek().kind == "punct"
-        and ts.peek().text == ","
-        and ts.peek(1).kind == "string"
-    ):
-        ts.advance()
+    while ts.peek(1).kind == "string" and ts.accept_punct(","):
         rhs.append(ts.advance().value)
     on = None
     if allow_on and ts.accept_kw("ON"):

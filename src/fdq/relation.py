@@ -38,7 +38,6 @@ import operator
 import os
 import re
 from array import array
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from functools import cached_property
 from itertools import compress, count, filterfalse
@@ -50,6 +49,7 @@ from .errors import (
     NameResolutionError,
     SchemaError,
 )
+from .record import Record
 from .tokens import COMPARISONS, NUMBER, TokenStream
 
 Value = Union[int, Decimal, str, None]
@@ -72,15 +72,13 @@ def holds_kind(kind: str, cell: Value) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class AttributeMeta:
+class AttributeMeta(Record):
     name: str
     index: int
     kind: str
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """Immutable table: name, attribute metadata, rows."""
 
     name: str
@@ -448,25 +446,21 @@ def load_csv(
 
 # --- row predicates ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Record):
     attribute: str
     op: str  # one of = != < <= > >=
     constant: Value
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     items: tuple  # empty tuple is the always-true predicate
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     items: tuple
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     item: object
 
 

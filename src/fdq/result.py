@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ResultTable:
+class ResultTable(Record):
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
 

@@ -12,38 +12,33 @@ left-hand side is being constrained.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Sequence, Union
 
+from .record import Record
 from .tokens import TokenStream, quoted
 
 
-@dataclass(frozen=True)
-class GlobList:
+class GlobList(Record):
     patterns: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Combine:
+class Combine(Record):
     op: str  # "+" or "-"
     left: "SetExpr"
     right: "SetExpr"
 
 
-@dataclass(frozen=True)
-class AllOf:
+class AllOf(Record):
     subset: "SetExpr"
 
 
-@dataclass(frozen=True)
-class AnyOf:
+class AnyOf(Record):
     subset: "SetExpr"
 
 

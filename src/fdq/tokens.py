@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
 from .errors import ParseError
+from .record import Record
 
 # the lexical rules; they hold no blanks, so verbose patterns read them as is
 STRING = r""""[^"\n]*"|'[^'\n]*'"""
@@ -39,8 +39,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str  # "string" | "number" | "ident" | "punct" | "end"
     text: str  # raw source text (strings keep their quotes)
     value: object  # decoded payload: str | int | Decimal | None

@@ -27,7 +27,7 @@ from fdq.cli import (
     split_statements,
 )
 from fdq.errors import KindMismatchError, NameResolutionError, ParseError, SchemaError
-from fdq.fdstore import load_fdset
+from fdq.fdstore import FDEntry, FDSet, load_fdset, save_fdset
 from fdq.query import execute, parse_extended_select, select_to_text
 from fdq.relation import Relation
 from fdq.result import ResultTable
@@ -725,6 +725,25 @@ class TestImportExport:
         assert code == 1
         assert "error:" in err and "internal error" not in err
 
+    def test_a_lone_surrogate_is_refused_at_import(self, tmp_path, capsys):
+        # JSON can escape half of a UTF-16 pair, which no UTF-8 output holds
+        (tmp_path / "in.fdset").write_text(
+            f'{self.HEADER}\n{{"lhs":["\\ud800"],"rhs":"Pack"}}\n', encoding="utf-8"
+        )
+        script = "IMPORT 'in.fdset' AS fs; SELECTDEP * FROM fs; EXPORT fs TO 'out.fdset';"
+        code = main(["exec", "--data-dir", str(tmp_path), "-c", script])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: 'lhs' must be a list of strings\n"
+        )
+        assert not (tmp_path / "out.fdset").exists()
+
+    def test_an_export_that_cannot_be_encoded_leaves_no_file(self, tmp_path):
+        fdset = FDSet("fs", "T", 0, (FDEntry(("\ud800",), "B"),))
+        with pytest.raises(UnicodeEncodeError):
+            save_fdset(fdset, tmp_path / "out.fdset")
+        assert not (tmp_path / "out.fdset").exists()
+
     def test_export_into_missing_directory_is_a_user_error(
         self, data_dir, tmp_path, capsys
     ):
@@ -1122,6 +1141,15 @@ class TestMain:
     def test_exec_missing_script_file(self, capsys):
         assert main(["exec", "-f", "/nonexistent/x.fdq"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_exec_file_that_is_not_utf8(self, tmp_path, capsys):
+        script = tmp_path / "bad.fdq"
+        script.write_bytes(b"SELECT \xff;")
+        assert main(["exec", "-f", str(script)]) == 1
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 7: "
+            "invalid start byte\n"
+        )
 
     @pytest.mark.parametrize(
         "content",

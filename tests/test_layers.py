@@ -13,7 +13,7 @@ import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fdq"
 LAYERS = [
-    "errors", "tokens", "result", "relation", "setexpr", "partition",
+    "record", "errors", "tokens", "result", "relation", "setexpr", "partition",
     "fdstore", "cfd", "miner", "query", "cli",
 ]
 ENTRY_POINTS = {"__init__", "__main__"}
@@ -36,6 +36,17 @@ def package_imports(path: pathlib.Path) -> set[str]:
                 for alias in node.names
                 if alias.name.startswith("fdq.")
             )
+    return found
+
+
+def absolute_imports(path: pathlib.Path) -> set[str]:
+    """Top-level names of the modules a file imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
     return found
 
 
@@ -75,8 +86,10 @@ def test_starting_the_cli_loads_no_module_only_some_statements_need():
     MINEFD clock its text, `fractions` only the distance of two numbers, and
     `time` and ints give both. `logging` serves one miner warning, `hashlib`
     (with OpenSSL's `_hashlib`) the table fingerprint, and `fdq.cfd` no
-    statement at all, so each loads only where it is used. A fresh
-    interpreter, so no other test's imports count."""
+    statement at all, so each loads only where it is used. `dataclasses`
+    (with `inspect`) would only build the value classes, which
+    `fdq.record.Record` builds without it. A fresh interpreter, so no other
+    test's imports count."""
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
     script = "import sys, fdq.cli; print(*sorted(sys.modules))"
     loaded = subprocess.run(
@@ -85,8 +98,22 @@ def test_starting_the_cli_loads_no_module_only_some_statements_need():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
     assert "fdq.cli" in loaded
-    unneeded = {"datetime", "fractions", "logging", "hashlib", "_hashlib", "fdq.cfd"}
+    unneeded = {
+        "datetime", "fractions", "logging", "hashlib", "_hashlib", "fdq.cfd",
+        "dataclasses", "inspect",
+    }
     assert unneeded.isdisjoint(loaded)
+
+
+def test_no_module_imports_dataclasses():
+    """fdq's value classes are `Record`s, so no start pays for generating
+    methods or loading `dataclasses`."""
+    importers = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "dataclasses" in absolute_imports(path)
+    ]
+    assert importers == []
 
 
 # the package's public names, under the module that defines each; the
@@ -108,16 +135,17 @@ PUBLIC = {
     "cli": "Session render run_command",
     "setexpr": "",
     "tokens": "",
+    "record": "",
 }
 
 
 def test_the_package_serves_its_public_names():
-    """`fdq` lists the same 67 names as ever, in `__all__` and `dir()`, and
-    each, though imported on first use, is its defining module's object."""
+    """`fdq` lists its 68 names, in `__all__` and `dir()`, and each, though
+    imported on first use, is its defining module's object."""
     import fdq
 
     names = [*PUBLIC, *" ".join(PUBLIC.values()).split()]
-    assert len(names) == 67
+    assert len(names) == 68
     assert fdq.__all__ == sorted(names)
     assert [name for name in dir(fdq) if not name.startswith("_")] == fdq.__all__
     for module, exported in PUBLIC.items():
@@ -134,15 +162,7 @@ def test_the_package_imports_only_the_standard_library():
     package names a standard library module."""
     outside = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            for module in modules:
-                top = module.split(".")[0]
-                if top not in sys.stdlib_module_names:
-                    outside.setdefault(path.stem, set()).add(top)
+        tops = absolute_imports(path) - sys.stdlib_module_names
+        if tops:
+            outside[path.stem] = tops
     assert outside == {}

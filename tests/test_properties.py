@@ -960,23 +960,25 @@ def test_fdset_serialization_round_trips(fdset):
 # a JSON integer of more digits than int() converts: json.dumps cannot
 # write one, so this marker stands in for it until the text is written
 HUGE = "<huge int>"
+# strings that may hold a lone surrogate, as a JSON escape like "\ud800" gives
+any_texts = st.text(st.characters(exclude_categories=()), max_size=3)
 json_values = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats()  # NaN and the infinities too, which json writes
     | st.sampled_from([-0.0, HUGE])
-    | st.text(max_size=3),
+    | any_texts,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(NAMES), inner, max_size=2),
     max_leaves=6,
 )
 ABSENT = object()
 HEADER_FIELDS = {
-    "fdset": st.text(max_size=3),
+    "fdset": any_texts,
     "table": st.sampled_from(NAMES),
     "fingerprint": st.integers(),
-    "mined_at": st.text(max_size=3),
+    "mined_at": any_texts,
 }
 ENTRY_FIELDS = {
     "lhs": st.lists(st.sampled_from(NAMES), min_size=1, max_size=3),
@@ -1011,9 +1013,11 @@ def fdset_texts(draw):
 @given(fdset_texts())
 @example('{"fdset":"x","table":"T","fingerprint":' + "9" * 5000 + "}")
 @example('{"fdset":"x","table":"T"}\n{"lhs":["A"],"rhs":"B","error":-0.0}')
+@example('{"fdset":"x","table":"T"}\n{"lhs":["\\ud800"],"rhs":"B"}')
 def test_loader_refuses_a_text_or_reads_a_set_that_round_trips(text):
     """Whatever JSON a file holds, IMPORT refuses it with a ParseError or
-    reads entries whose errors are positive floats in [0, 1)."""
+    reads entries whose errors are positive floats in [0, 1), into a set
+    that a UTF-8 file can hold."""
     try:
         fdset = loads_fdset(text)
     except ParseError:
@@ -1021,7 +1025,7 @@ def test_loader_refuses_a_text_or_reads_a_set_that_round_trips(text):
     for entry in fdset.entries:
         assert type(entry.error) is float and 0.0 <= entry.error < 1.0
         assert copysign(1.0, entry.error) == 1.0
-    assert loads_fdset(dumps_fdset(fdset)) == fdset
+    assert loads_fdset(dumps_fdset(fdset).encode("utf-8").decode("utf-8")) == fdset
 
 
 @common
